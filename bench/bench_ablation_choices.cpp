@@ -1,14 +1,15 @@
 // Ablations of FLASH's design choices beyond the paper's headline two
 // (DESIGN.md calls these out): butterfly radix, rounding mode of the
 // approximate datapath, power-of-two patch padding, and the merged vs
-// per-stage sparse accounting. Each knob is evaluated with the functional
-// simulators, not hand-waved.
+// per-stage sparse accounting. The radix knob is an exact operation count
+// (sparsefft::SparseFftPlan::dense_cost vs accel::radix4_dense_cost); the
+// others run the functional simulators.
 #include <cstdio>
 #include <random>
 
+#include "accel/workload.hpp"
 #include "encoding/tiling.hpp"
 #include "fft/fxp_fft.hpp"
-#include "fft/radix4.hpp"
 #include "sparsefft/planner.hpp"
 #include "tensor/resnet.hpp"
 
@@ -20,8 +21,8 @@ void radix_ablation() {
   std::printf("--- butterfly radix (dense transform, non-trivial complex mults) ---\n");
   std::printf("  %-8s %10s %10s %8s\n", "M", "radix-2", "radix-4", "ratio");
   for (std::size_t m : {std::size_t{512}, std::size_t{2048}, std::size_t{8192}}) {
-    const auto r2 = fft::radix2_dense_cost(m);
-    const auto r4 = fft::radix4_dense_cost(m);
+    const auto r2 = sparsefft::SparseFftPlan::dense_cost(m);
+    const auto r4 = accel::radix4_dense_cost(m);
     std::printf("  %-8zu %10llu %10llu %8.3f\n", m,
                 static_cast<unsigned long long>(r2.complex_mults),
                 static_cast<unsigned long long>(r4.complex_mults),

@@ -60,6 +60,27 @@ std::uint64_t dense_ntt_butterflies(std::size_t n) {
   return static_cast<std::uint64_t>(n / 2) * static_cast<std::uint64_t>(hemath::log2_exact(n));
 }
 
+sparsefft::PlanCost radix4_dense_cost(std::size_t m) {
+  sparsefft::PlanCost c;
+  const int log_m = hemath::log2_exact(m);
+  for (int s = 0; s + 2 <= log_m; s += 2) {
+    const std::size_t size = m >> s;
+    const std::size_t blocks = std::size_t{1} << s;
+    for (std::size_t k = 0; k < size / 4; ++k) {
+      for (std::size_t r = 1; r < 4; ++r) {
+        // Twiddle W_size^(r * k) is a power of i iff 4 * r * k = 0 mod size.
+        ((4 * r * k) % size == 0 ? c.trivial_mults : c.complex_mults) += blocks;
+      }
+    }
+    c.complex_adds += 3 * m;
+  }
+  if (log_m % 2 == 1) {
+    c.trivial_mults += m / 2;
+    c.complex_adds += m;
+  }
+  return c;
+}
+
 namespace {
 
 UnitCost weight_bu_cost(const FlashConfig& config, WeightPath path) {

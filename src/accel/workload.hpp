@@ -22,6 +22,7 @@
 
 #include "accel/flash_config.hpp"
 #include "encoding/tiling.hpp"
+#include "sparsefft/planner.hpp"
 
 namespace flash::accel {
 
@@ -44,6 +45,14 @@ struct TransformWorkload {
 
 std::uint64_t dense_fft_butterflies(std::size_t n);  // negacyclic via n/2-point FFT
 std::uint64_t dense_ntt_butterflies(std::size_t n);
+
+/// Operation counts of a dense M-point radix-4 transform (M a power of two)
+/// for the butterfly-radix ablation: 4-point butterflies (3 twiddles, 12 adds
+/// each), with 2-point butterflies at the leaves when log2(M) is odd.
+/// Twiddles that are powers of i are rotations (wiring), counted as trivial.
+/// Only the per-stage fields are filled. The radix-2 counterpart is
+/// sparsefft::SparseFftPlan::dense_cost.
+sparsefft::PlanCost radix4_dense_cost(std::size_t m);
 
 struct LatencyEnergy {
   double seconds = 0.0;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "bfv/evaluator.hpp"
-
 namespace flash::bfv {
 
 namespace {
@@ -151,15 +149,6 @@ std::vector<Plaintext> Decryptor::decrypt_batch(std::span<const Ciphertext> cts)
     out.push_back(round_to_plaintext(ctx_, v));
   }
   return out;
-}
-
-Plaintext Decryptor::decrypt(const Ciphertext3& ct) const {
-  // v = c0 + c1 s + c2 s^2.
-  Poly v = multiply(ctx_.ntt(), ct.c1, sk_.s);
-  const Poly s_squared = multiply(ctx_.ntt(), sk_.s, sk_.s);
-  v.add_inplace(multiply(ctx_.ntt(), ct.c2, s_squared));
-  v.add_inplace(ct.c0);
-  return round_to_plaintext(ctx_, v);
 }
 
 double Decryptor::invariant_noise_budget(const Ciphertext& ct) const {

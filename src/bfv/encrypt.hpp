@@ -51,8 +51,6 @@ class Encryptor {
   hemath::Sampler& sampler_;
 };
 
-struct Ciphertext3;  // bfv/evaluator.hpp
-
 class Decryptor {
  public:
   /// Precomputes the secret key's NTT spectrum: every decrypt needs c1*s, so
@@ -60,9 +58,6 @@ class Decryptor {
   Decryptor(const BfvContext& ctx, SecretKey sk);
 
   Plaintext decrypt(const Ciphertext& ct) const;
-
-  /// Decrypt a pre-relinearization size-3 ciphertext (needs s^2).
-  Plaintext decrypt(const Ciphertext3& ct) const;
 
   /// Batched decryption: the c1 forward transforms and the product inverse
   /// transforms run through the batched SoA NTT (hemath/ntt), loading each

@@ -1,24 +1,11 @@
-// Homomorphic evaluation: the ⊞ / ⊟ / ⊠ operations of the hybrid protocol,
-// plus the full BFV extras (ct x ct with relinearization, Galois rotations)
-// that round out the SEAL-style substrate.
+// Homomorphic evaluation: the degree-0 ⊞ / ⊟ / ⊠ operations of the hybrid
+// protocol (ct ± ct, ct ± pt, ct × pt). There is no ct × ct, relinearization
+// or key switching: the protocol never calls them.
 #pragma once
 
-#include <memory>
-#include <mutex>
-
-#include "core/thread_annotations.hpp"
-
-#include "bfv/keyswitch.hpp"
-#include "bfv/multiply.hpp"
 #include "bfv/polymul_engine.hpp"
 
 namespace flash::bfv {
-
-/// A size-3 ciphertext produced by ct x ct before relinearization:
-/// dec = round(t/q * (c0 + c1 s + c2 s^2)).
-struct Ciphertext3 {
-  Poly c0, c1, c2;
-};
 
 class Evaluator {
  public:
@@ -62,31 +49,11 @@ class Evaluator {
                            CiphertextAccumulator& accum) const;
   Ciphertext finalize(const CiphertextAccumulator& accum) const;
 
-  /// --- Full BFV operations ------------------------------------------------
-  /// ct x ct tensor product (exact CRT-based wide arithmetic).
-  Ciphertext3 multiply(const Ciphertext& a, const Ciphertext& b) const;
-  /// Fold the s^2 component back to a size-2 ciphertext.
-  Ciphertext relinearize(const Ciphertext3& ct, const RelinKeys& keys) const;
-  Ciphertext multiply_relin(const Ciphertext& a, const Ciphertext& b, const RelinKeys& keys) const;
-
-  /// Apply the automorphism X -> X^g and switch back to the original key.
-  Ciphertext apply_galois(const Ciphertext& ct, u64 galois_element, const GaloisKeys& keys) const;
-  /// Batched-slot row rotation / row swap (BatchEncoder layout).
-  Ciphertext rotate_rows(const Ciphertext& ct, int steps, const GaloisKeys& keys) const;
-  Ciphertext rotate_columns(const Ciphertext& ct, const GaloisKeys& keys) const;
-
  private:
   Poly delta_scaled(const Plaintext& pt) const;
-  const WideMultiplier& wide() const;
 
   const BfvContext& ctx_;
   mutable PolyMulEngine engine_;
-  // Lazily built on the first ct x ct; the mutex makes the double-checked
-  // initialization visible to the thread-safety analysis (a once_flag would
-  // not be), and a WideMultiplier construction is far more expensive than an
-  // uncontended lock acquisition per multiply.
-  mutable std::mutex wide_mu_;
-  mutable std::unique_ptr<WideMultiplier> wide_ FLASH_GUARDED_BY(wide_mu_);
 };
 
 }  // namespace flash::bfv

@@ -42,25 +42,6 @@ double NoiseEstimator::after_multiply_plain(double noise_bits, std::size_t nnz,
   return noise_bits + std::log2(growth + 1.0);
 }
 
-double NoiseEstimator::after_multiply_ct(double a_bits, double b_bits) const {
-  // Standard BFV bound: v_mult <~ t * sqrt(2N) * (v_a + v_b) plus
-  // message-norm cross terms (||m1|| v_b + ||m2|| v_a), covered by the
-  // constant for low-bit quantized messages.
-  const double t_bits = std::log2(static_cast<double>(params_.t));
-  const double n_bits = 0.5 * std::log2(2.0 * static_cast<double>(params_.n));
-  return t_bits + n_bits + after_add(a_bits, b_bits) + 2.5;
-}
-
-double NoiseEstimator::after_key_switch(double noise_bits, int digit_bits) const {
-  const int q_bits = static_cast<int>(std::ceil(std::log2(static_cast<double>(params_.q))));
-  const double levels = std::ceil(static_cast<double>(q_bits) / digit_bits);
-  // Each digit contributes ~T * sigma * sqrt(N) noise; levels add in rms.
-  const double ks = static_cast<double>(digit_bits) +
-                    std::log2(params_.error_sigma * std::sqrt(static_cast<double>(params_.n) * levels) + 1.0) +
-                    1.0;
-  return after_add(noise_bits, ks);
-}
-
 double approx_error_headroom_bits(const BfvParams& params, double current_noise_bits) {
   // Additive FFT error e_fft on (c0, c1) appears in decryption as
   // e0 + e1*s; with ternary s of ~N/2 nonzeros the amplification is about

@@ -38,10 +38,6 @@ class NoiseEstimator {
   double after_add(double a_bits, double b_bits) const;
   /// ct x pt with a plaintext of `nnz` nonzero coefficients of |.| <= max_abs.
   double after_multiply_plain(double noise_bits, std::size_t nnz, double max_abs) const;
-  /// BFV ct x ct (tensor + rescale): growth ~ t * sqrt(2N) * (Na + Nb).
-  double after_multiply_ct(double a_bits, double b_bits) const;
-  /// Key switching with the given decomposition digit size.
-  double after_key_switch(double noise_bits, int digit_bits) const;
 
   /// Remaining budget for a noise level (log2(q/2t) - noise).
   double budget(double noise_bits) const { return params_.noise_ceiling_bits() - noise_bits; }

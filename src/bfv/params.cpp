@@ -55,14 +55,4 @@ double estimated_security_bits(std::size_t n, double log_q) {
   return 128.0 * ratio / (1024.0 / 27.0);
 }
 
-BfvParams BfvParams::create_batching(std::size_t n, int log_t, int log_q) {
-  BfvParams p;
-  p.n = n;
-  p.t = hemath::find_ntt_prime(log_t, n);
-  p.q = hemath::find_ntt_prime(log_q, n);
-  if (p.q == p.t) p.q = hemath::next_prime_congruent(p.q + 1, 2 * n);
-  p.validate();
-  return p;
-}
-
 }  // namespace flash::bfv

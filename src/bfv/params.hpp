@@ -37,10 +37,6 @@ struct BfvParams {
   /// t a power of two (the 2PC sharing modulus).
   static BfvParams create(std::size_t n, int log_t, int log_q);
 
-  /// Batching-capable parameter set: t is a *prime* = 1 mod 2N so the
-  /// plaintext ring splits into N SIMD slots (GAZELLE-style protocols).
-  static BfvParams create_batching(std::size_t n, int log_t, int log_q);
-
   /// Jaguar-style power-of-two set: q = 2^k, t = 2^log_t. k <= 62 keeps q
   /// inside the add_mod headroom (q < 2^63); the ct x pt path runs on the
   /// kPow2 mask-reduce backend (there is no NTT mod 2^k).

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bfv/context.hpp"
-#include "bfv/keyswitch.hpp"
 
 namespace flash::bfv {
 
@@ -84,8 +83,5 @@ SecretKey deserialize_secret_key(const BfvContext& ctx, const Bytes& bytes);
 
 Bytes serialize(const BfvParams& params, const PublicKey& pk);
 PublicKey deserialize_public_key(const BfvContext& ctx, const Bytes& bytes);
-
-Bytes serialize(const BfvParams& params, const KeySwitchKey& key);
-KeySwitchKey deserialize_key_switch_key(const BfvContext& ctx, const Bytes& bytes);
 
 }  // namespace flash::bfv

@@ -30,8 +30,9 @@ fft::FxpFftConfig high_accuracy_approx_config(std::size_t n, std::uint64_t t) {
   // delta by ~ t * sqrt(N) * ||wrap quotient||. Keeping the decrypted result
   // bit-exact therefore needs the spectrum accurate to ~2^-26, i.e. a wider
   // word than the paper's no-retraining point (39-bit, k=18). 48-bit data
-  // with k=20 twiddles achieves exactness (the "full equivalence with the
-  // 39-bit NTT" regime of paper §III-A).
+  // with k=20 twiddles is exact wherever certify_conv proves correct
+  // decryption (the "full equivalence with the 39-bit NTT" regime of paper
+  // §III-A), but not on every layer: see the header.
   return uniform_approx_config(n, t, 48, 20);
 }
 

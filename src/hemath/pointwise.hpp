@@ -1,4 +1,4 @@
-// Vectorized RNS pointwise modular multiplication.
+// Vectorized pointwise modular multiplication.
 //
 // The spectral-domain inner loop of every NTT-backed PolyMul is
 // c[i] = a[i]*b[i] mod q (optionally accumulated). The scalar mul_mod takes

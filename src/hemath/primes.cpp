@@ -1,6 +1,7 @@
 #include "hemath/primes.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace flash::hemath {
 
@@ -52,19 +53,6 @@ u64 find_ntt_prime(int bits, std::size_t n) {
   u64 q = next_prime_congruent(u64{1} << (bits - 1), step);
   if (q >= (u64{1} << bits)) throw std::runtime_error("find_ntt_prime: no prime at requested size");
   return q;
-}
-
-std::vector<u64> find_ntt_primes(int bits, std::size_t n, std::size_t count) {
-  std::vector<u64> primes;
-  u64 lo = u64{1} << (bits - 1);
-  const u64 step = 2 * static_cast<u64>(n);
-  while (primes.size() < count) {
-    u64 q = next_prime_congruent(lo, step);
-    if (q >= (u64{1} << bits)) throw std::runtime_error("find_ntt_primes: ran out of primes at size");
-    primes.push_back(q);
-    lo = q + 1;
-  }
-  return primes;
 }
 
 u64 primitive_root(u64 q) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "hemath/modular.hpp"
 
@@ -22,9 +21,6 @@ u64 next_prime_congruent(u64 lo, u64 step);
 /// Find a prime of exactly `bits` bits with q ≡ 1 (mod 2N), suitable as an
 /// NTT modulus for ring degree N (N a power of two).
 u64 find_ntt_prime(int bits, std::size_t n);
-
-/// Find several distinct NTT primes (for RNS bases).
-std::vector<u64> find_ntt_primes(int bits, std::size_t n, std::size_t count);
 
 /// Smallest generator of Z_q^* for prime q.
 u64 primitive_root(u64 q);

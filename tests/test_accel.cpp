@@ -70,6 +70,50 @@ TEST(Workload, ButterflyFormulas) {
   EXPECT_EQ(dense_ntt_butterflies(4096), 4096u / 2 * 12);
 }
 
+// Tallies recorded by instrumenting a radix-4 FFT executor (and a radix-2
+// stage walk) over dense M-point transforms; the closed-form counts must
+// reproduce them exactly. Columns: complex mults, trivial mults, adds.
+TEST(Radix4Cost, MatchesExecutorTallies) {
+  struct Tally {
+    std::uint64_t mults, trivial, adds;
+  };
+  struct Row {
+    std::size_t m;
+    Tally r4, r2;
+  };
+  const Row rows[] = {
+      {2, {0, 1, 2}, {0, 1, 2}},
+      {8, {2, 8, 32}, {2, 10, 24}},
+      {16, {8, 16, 96}, {10, 22, 64}},
+      {512, {1196, 596, 6656}, {1538, 766, 4608}},
+      {2048, {6316, 2388, 32768}, {8194, 3070, 22528}},
+      {8192, {31404, 9556, 155648}, {40962, 12286, 106496}},
+  };
+  for (const Row& row : rows) {
+    const sparsefft::PlanCost r4 = radix4_dense_cost(row.m);
+    const sparsefft::PlanCost r2 = sparsefft::SparseFftPlan::dense_cost(row.m);
+    EXPECT_EQ(r4.complex_mults, row.r4.mults) << row.m;
+    EXPECT_EQ(r4.trivial_mults, row.r4.trivial) << row.m;
+    EXPECT_EQ(r4.complex_adds, row.r4.adds) << row.m;
+    EXPECT_EQ(r2.complex_mults, row.r2.mults) << row.m;
+    EXPECT_EQ(r2.trivial_mults, row.r2.trivial) << row.m;
+    EXPECT_EQ(r2.complex_adds, row.r2.adds) << row.m;
+  }
+  EXPECT_THROW(radix4_dense_cost(12), std::invalid_argument);
+}
+
+TEST(Radix4Cost, FewerMultsThanRadix2) {
+  for (std::size_t m : {std::size_t{64}, std::size_t{256}, std::size_t{2048}}) {
+    const auto r4 = radix4_dense_cost(m);
+    const auto r2 = sparsefft::SparseFftPlan::dense_cost(m);
+    EXPECT_LT(r4.complex_mults, r2.complex_mults) << m;
+    // Classic result: radix-4 saves ~25% of the complex multiplications.
+    const double ratio = static_cast<double>(r4.complex_mults) / static_cast<double>(r2.complex_mults);
+    EXPECT_GT(ratio, 0.6) << m;
+    EXPECT_LT(ratio, 0.95) << m;
+  }
+}
+
 TEST(Workload, FromNetworkAggregates) {
   const auto layers = tensor::resnet18_conv_layers();
   const TransformWorkload w = TransformWorkload::from_network(layers, 4096, 0.15);

@@ -16,7 +16,6 @@
 #include "fft/complex_fft.hpp"
 #include "fft/fxp_fft.hpp"
 #include "fft/negacyclic.hpp"
-#include "fft/radix4.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/pointwise.hpp"
 #include "hemath/pow2.hpp"
@@ -285,17 +284,6 @@ TEST(AllocFree, SparseExecuteInto) {
   std::vector<cplx> out(m);
   const std::uint64_t before = allocs();
   sparsefft::execute_into(plan, input, out);
-  EXPECT_EQ(allocs() - before, 0u);
-}
-
-TEST(AllocFree, Radix4ForwardAfterWarmup) {
-  const std::size_t m = 1024;
-  std::vector<cplx> a(m, cplx{1.5, -0.5});
-  std::vector<cplx> work = a;
-  fft::radix4_forward(work, nullptr);  // warmup: grows the thread arena
-  work = a;
-  const std::uint64_t before = allocs();
-  fft::radix4_forward(work, nullptr);
   EXPECT_EQ(allocs() - before, 0u);
 }
 

@@ -54,16 +54,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, NttPrimeTest,
                          ::testing::Combine(::testing::Values(20, 30, 45, 59),
                                             ::testing::Values(std::size_t{256}, std::size_t{4096})));
 
-TEST(Primes, FindNttPrimesDistinct) {
-  const auto primes = find_ntt_primes(30, 1024, 4);
-  ASSERT_EQ(primes.size(), 4u);
-  for (std::size_t i = 0; i < primes.size(); ++i) {
-    EXPECT_TRUE(is_prime(primes[i]));
-    EXPECT_EQ((primes[i] - 1) % 2048, 0u);
-    for (std::size_t j = i + 1; j < primes.size(); ++j) EXPECT_NE(primes[i], primes[j]);
-  }
-}
-
 TEST(Primes, PrimitiveRootHasFullOrder) {
   for (u64 q : {17ULL, 97ULL, 998244353ULL}) {
     const u64 g = primitive_root(q);

@@ -11,7 +11,6 @@
 
 #include "bfv/context.hpp"
 #include "bfv/encrypt.hpp"
-#include "bfv/keyswitch.hpp"
 #include "bfv/serialization.hpp"
 #include "hemath/sampler.hpp"
 #include "testing/generators.hpp"
@@ -93,21 +92,6 @@ TEST(Serialization, PublicKeyRoundTrip) {
   EXPECT_EQ(back.p1.coeffs(), f.pk.p1.coeffs());
 }
 
-TEST(Serialization, KeySwitchKeyRoundTrip) {
-  Fixture f(6);
-  bfv::KeySwitcher switcher(f.ctx, f.sampler, /*digit_bits=*/16);
-  const bfv::KeySwitchKey key = switcher.make_key(f.sk.s, f.sk);
-
-  const Bytes bytes = bfv::serialize(f.params, key);
-  const bfv::KeySwitchKey back = bfv::deserialize_key_switch_key(f.ctx, bytes);
-  ASSERT_EQ(back.digits(), key.digits());
-  EXPECT_EQ(back.digit_bits, key.digit_bits);
-  for (std::size_t i = 0; i < key.digits(); ++i) {
-    EXPECT_EQ(back.k0[i].coeffs(), key.k0[i].coeffs());
-    EXPECT_EQ(back.k1[i].coeffs(), key.k1[i].coeffs());
-  }
-}
-
 // --- Rejection: truncation at every prefix length must throw, never decode.
 
 TEST(Serialization, TruncatedCiphertextRejectedAtEveryLength) {
@@ -120,20 +104,6 @@ TEST(Serialization, TruncatedCiphertextRejectedAtEveryLength) {
     const Bytes truncated(bytes.begin(), bytes.begin() + len);
     EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, truncated), std::runtime_error)
         << "prefix of length " << len << " decoded without error";
-  }
-}
-
-TEST(Serialization, TruncatedKeySwitchKeyRejected) {
-  Fixture f(8, /*n=*/64);
-  bfv::KeySwitcher switcher(f.ctx, f.sampler, /*digit_bits=*/16);
-  const Bytes bytes = bfv::serialize(f.params, switcher.make_key(f.sk.s, f.sk));
-
-  // Cut at a few strategic points: inside the magic, inside the header,
-  // mid-polynomial, and one byte short.
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{4}, std::size_t{12}, bytes.size() / 2, bytes.size() - 1}) {
-    const Bytes truncated(bytes.begin(), bytes.begin() + len);
-    EXPECT_THROW(bfv::deserialize_key_switch_key(f.ctx, truncated), std::runtime_error);
   }
 }
 
@@ -152,6 +122,16 @@ TEST(Serialization, WrongTypeTagRejected) {
   // A plaintext buffer handed to the ciphertext loader must be refused by
   // the type tag, not mis-decoded.
   EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, pt_bytes), std::runtime_error);
+
+  // Tag 6 (key-switch keys) is retired: every loader refuses it outright.
+  Bytes retired = bfv::serialize(f.params, f.pk);
+  retired[8] = 6;  // the tag byte follows the 8-byte magic
+  EXPECT_THROW(bfv::deserialize_plaintext(f.ctx, retired), bfv::SerializationError);
+  EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, retired), bfv::SerializationError);
+  EXPECT_THROW(bfv::deserialize_secret_key(f.ctx, retired), bfv::SerializationError);
+  EXPECT_THROW(bfv::deserialize_public_key(f.ctx, retired), bfv::SerializationError);
+  bfv::ByteReader reader(retired);
+  EXPECT_THROW(bfv::deserialize_params(reader), bfv::SerializationError);
 }
 
 TEST(Serialization, ForeignParamsRejected) {
@@ -167,6 +147,30 @@ TEST(Serialization, TrailingGarbageRejected) {
   Bytes bytes = bfv::serialize(f.params, f.ctx.encode_signed({1}));
   bytes.push_back(0xab);
   EXPECT_THROW(bfv::deserialize_plaintext(f.ctx, bytes), std::runtime_error);
+}
+
+// One ciphertext buffer, four corruptions: truncation, bad magic, a
+// plaintext fed to the ciphertext loader, and an out-of-range coefficient.
+TEST(Serialization, RejectsCorruption) {
+  Fixture f(19, /*n=*/64);
+  bfv::Encryptor enc(f.ctx, f.sampler);
+  const Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({1, 2, 3}), f.pk));
+
+  const Bytes truncated(bytes.begin(), bytes.begin() + bytes.size() / 2);
+  EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, truncated), std::runtime_error);
+
+  Bytes bad_magic = bytes;
+  bad_magic[0] ^= 0xff;
+  EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, bad_magic), std::runtime_error);
+
+  const Bytes pt_bytes = bfv::serialize(f.params, f.ctx.encode_signed({4}));
+  EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, pt_bytes), std::runtime_error);
+
+  // Header (magic 8 + tag 1 + n/t/q 24 = 33 bytes), then c0's modulus and
+  // degree (16 bytes), then its first coefficient, forged to 2^64 - 1 >= q.
+  Bytes out_of_range = bytes;
+  for (std::size_t i = 0; i < 8; ++i) out_of_range[33 + 16 + i] = 0xff;
+  EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, out_of_range), std::runtime_error);
 }
 
 // Fuzz-adjacent: random single-byte corruption must either throw or decode
@@ -340,7 +344,6 @@ TEST(Serialization, CorpusReplayAllLoadersSurvive) {
     survive([&] { (void)bfv::deserialize_ciphertext(f.ctx, bytes); });
     survive([&] { (void)bfv::deserialize_secret_key(f.ctx, bytes); });
     survive([&] { (void)bfv::deserialize_public_key(f.ctx, bytes); });
-    survive([&] { (void)bfv::deserialize_key_switch_key(f.ctx, bytes); });
     survive([&] {
       bfv::ByteReader r(bytes);
       (void)bfv::deserialize_params(r);

@@ -81,7 +81,7 @@ struct NoiseFixture {
   bfv::NoiseEstimator est;
 
   NoiseFixture()
-      : ctx(bfv::BfvParams::create_batching(1024, 14, 58)), sampler(77), keygen(ctx, sampler),
+      : ctx(bfv::BfvParams::create(1024, 14, 58)), sampler(77), keygen(ctx, sampler),
         sk(keygen.secret_key()), pk(keygen.public_key(sk)), enc(ctx, sampler), dec(ctx, sk),
         ev(ctx, bfv::PolyMulBackend::kNtt), est(ctx.params()) {}
 
@@ -113,21 +113,6 @@ TEST(NoiseEstimator, MultiplyPlainPrediction) {
   const double predicted = f.est.after_multiply_plain(f.est.fresh(), 64, 7.0);
   EXPECT_GE(predicted, measured - 1.0);
   EXPECT_LE(predicted, measured + 10.0);
-}
-
-TEST(NoiseEstimator, CtCtAndKeySwitchPrediction) {
-  NoiseFixture f;
-  bfv::KeySwitcher switcher(f.ctx, f.sampler);
-  const auto rlk = switcher.make_relin_keys(f.sk);
-  std::mt19937_64 rng(3);
-  const auto ca = f.fresh_ct(rng);
-  const auto cb = f.fresh_ct(rng);
-  const auto prod = f.ev.multiply_relin(ca, cb, rlk);
-  const double measured = f.ctx.params().noise_ceiling_bits() - f.dec.invariant_noise_budget(prod);
-  const double predicted =
-      f.est.after_key_switch(f.est.after_multiply_ct(f.est.fresh(), f.est.fresh()), 16);
-  EXPECT_GE(predicted, measured - 1.0);
-  EXPECT_LE(predicted, measured + 14.0);
 }
 
 TEST(NoiseEstimator, AddIsLogSumExp) {
