@@ -21,7 +21,6 @@
 #include "hemath/pointwise.hpp"
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
-#include "hemath/shoup_ntt.hpp"
 #include "hemath/simd.hpp"
 #include "sparsefft/executor.hpp"
 
@@ -42,20 +41,6 @@ void BM_NttForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NttForward)->Arg(2048)->Arg(4096);
-
-void BM_ShoupNttForward(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const hemath::u64 q = hemath::find_ntt_prime(49, n);
-  hemath::ShoupNttTables tables(q, n);
-  hemath::Sampler sampler(1);
-  std::vector<hemath::u64> a = sampler.uniform_poly(q, n).coeffs();
-  for (auto _ : state) {
-    std::vector<hemath::u64> b = a;
-    tables.forward(b);
-    benchmark::DoNotOptimize(b.data());
-  }
-}
-BENCHMARK(BM_ShoupNttForward)->Arg(2048)->Arg(4096);
 
 void BM_FftForward(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -163,28 +148,6 @@ void BM_NttForwardBatch8Singles(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NttForwardBatch8Singles)->Arg(2048)->Arg(4096);
-
-void BM_ShoupNttForwardBatch8(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kBatch = 8;
-  const hemath::u64 q = hemath::find_ntt_prime(49, n);
-  hemath::ShoupNttTables tables(q, n);
-  hemath::Sampler sampler(1);
-  std::vector<std::vector<hemath::u64>> polys(kBatch);
-  for (auto& p : polys) p = sampler.uniform_poly(q, n).coeffs();
-  std::vector<std::vector<hemath::u64>> work = polys;
-  std::vector<hemath::u64*> ptrs(kBatch);
-  core::ScratchArena& arena = core::thread_scratch();
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      work[b] = polys[b];
-      ptrs[b] = work[b].data();
-    }
-    tables.forward_batch_into(ptrs, &arena);
-    benchmark::DoNotOptimize(work[0].data());
-  }
-}
-BENCHMARK(BM_ShoupNttForwardBatch8)->Arg(2048)->Arg(4096);
 
 /// Batched FXP FFT (negacyclic weight transform datapath), 8 lanes per call.
 void BM_FxpFftForwardBatch8Into(benchmark::State& state) {

@@ -53,6 +53,11 @@ class BfvContext {
   Plaintext make_plaintext() const { return {Poly(params_.t, params_.n)}; }
   Ciphertext make_ciphertext() const { return {Poly(params_.q, params_.n), Poly(params_.q, params_.n)}; }
 
+  /// Delta * m lifted into R_q: the message term of encryption and of ct ⊞/⊟
+  /// pt. Each coefficient's centered lift mod t is multiplied by Delta
+  /// through Delta's precomputed Shoup companion (no division; q < 2^63).
+  Poly scaled_message(const Plaintext& pt) const;
+
   /// Encode a vector of signed cleartext values into plaintext coefficients
   /// (centered lift mod t). Values must fit in (-t/2, t/2].
   Plaintext encode_signed(const std::vector<i64>& values) const;
@@ -62,6 +67,7 @@ class BfvContext {
 
  private:
   BfvParams params_;
+  u64 delta_shoup_ = 0;  // Shoup companion of params_.delta()
   // Shared process-wide (fft::transform_cache): contexts on the same (q, N)
   // reuse one set of immutable tables instead of recomputing them.
   std::shared_ptr<const hemath::NttTables> ntt_;

@@ -1,36 +1,52 @@
 #include "bfv/encrypt.hpp"
 
 #include <cmath>
+#include <stdexcept>
+
+#include "core/scratch.hpp"
 
 namespace flash::bfv {
 
 namespace {
-/// Shared rounding of the noisy scaled message v: round(t/q * v) mod t.
-Plaintext round_to_plaintext(const BfvContext& ctx, const Poly& v) {
-  const auto& p = ctx.params();
-  Plaintext pt = ctx.make_plaintext();
-  const long double scale = static_cast<long double>(p.t) / static_cast<long double>(p.q);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const long double centered = static_cast<long double>(hemath::to_signed(v[i], p.q));
-    const i64 rounded = static_cast<i64>(std::llroundl(centered * scale));
-    pt.poly[i] = hemath::from_signed(rounded, p.t);
+/// Decryption's rounding, fused with the c0 addition and done in place:
+/// vals[i] <- round(t/q · v) mod t for v = vals[i] + c0[i] mod q taken as
+/// its centered representative, halves away from zero (llround's rule).
+/// Exact for every (t, q) BfvParams admits, and free of division on the
+/// fast path: a double estimate of round(t·|v|/q), then one exact-remainder
+/// correction. The estimate is within one of the true rounding while
+/// t < 2^50, and the remainder 2t|v| + q - 2q·est then lies in [-2q, 4q),
+/// so for q < 2^61 it is exact in wrapping 64-bit arithmetic. Other
+/// parameters divide in 128 bits.
+void round_to_plaintext(const BfvParams& p, const u64* c0, u64* vals) {
+  const u64 q = p.q;
+  const u64 t = p.t;
+  const u64 half_q = q / 2;
+  if (t >= (u64{1} << 50) || q >= (u64{1} << 61)) {
+    for (std::size_t i = 0; i < p.n; ++i) {
+      const u64 v = hemath::add_mod(vals[i], c0[i], q);
+      const u64 mag = v > half_q ? q - v : v;
+      const u64 r = static_cast<u64>((2 * static_cast<hemath::u128>(t) * mag + q) /
+                                     (2 * static_cast<hemath::u128>(q)));
+      vals[i] = v > half_q && r != 0 ? t - r : r;
+    }
+    return;
   }
-  return pt;
-}
-}  // namespace
-
-namespace {
-/// Delta * m lifted into R_q.
-Poly scaled_message(const BfvContext& ctx, const Plaintext& pt) {
-  const auto& p = ctx.params();
-  Poly out(p.q, p.n);
-  const u64 delta = p.delta();
+  const double scale = static_cast<double>(t) / static_cast<double>(q);
+  const u64 two_t = 2 * t;
+  const u64 two_q = 2 * q;
   for (std::size_t i = 0; i < p.n; ++i) {
-    // Lift the (possibly signed) plaintext coefficient, then scale.
-    const u64 lifted = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
-    out[i] = hemath::mul_mod(lifted, delta, p.q);
+    const u64 v = hemath::add_mod(vals[i], c0[i], q);
+    const u64 mag = v > half_q ? q - v : v;
+    u64 r = static_cast<u64>(static_cast<double>(mag) * scale + 0.5);
+    // round(t·mag/q) is the unique r with 0 <= 2t·mag + q - 2q·r < 2q.
+    const i64 rem = static_cast<i64>(two_t * mag + q - two_q * r);
+    if (rem < 0) {
+      --r;
+    } else if (rem >= static_cast<i64>(two_q)) {
+      ++r;
+    }
+    vals[i] = v > half_q && r != 0 ? t - r : r;
   }
-  return out;
 }
 }  // namespace
 
@@ -52,7 +68,7 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, const SecretKey& sk
   const auto& p = ctx_.params();
   Poly a = sampler_.uniform_poly(p.q, p.n);
   Poly e = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  Poly c0 = scaled_message(ctx_, pt);
+  Poly c0 = ctx_.scaled_message(pt);
   c0.add_inplace(e);
   Poly as = multiply(ctx_.ntt(), a, sk.s);
   c0.sub_inplace(as);
@@ -66,7 +82,7 @@ Ciphertext Encryptor::encrypt(const Plaintext& pt, const PublicKey& pk) {
   Poly e2 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
   Poly c0 = multiply(ctx_.ntt(), pk.p0, u);
   c0.add_inplace(e1);
-  c0.add_inplace(scaled_message(ctx_, pt));
+  c0.add_inplace(ctx_.scaled_message(pt));
   Poly c1 = multiply(ctx_.ntt(), pk.p1, u);
   c1.add_inplace(e2);
   return {std::move(c0), std::move(c1)};
@@ -99,7 +115,7 @@ Ciphertext Encryptor::encrypt(const Plaintext& pt, const PreparedPublicKey& pk) 
   ntt.inverse_batch_into(prods);
   Poly c0(p.q, std::move(c0v));
   c0.add_inplace(e1);
-  c0.add_inplace(scaled_message(ctx_, pt));
+  c0.add_inplace(ctx_.scaled_message(pt));
   Poly c1(p.q, std::move(c1v));
   c1.add_inplace(e2);
   return {std::move(c0), std::move(c1)};
@@ -122,31 +138,35 @@ Poly Decryptor::noisy_scaled_message(const Ciphertext& ct) const {
 }
 
 Plaintext Decryptor::decrypt(const Ciphertext& ct) const {
-  return round_to_plaintext(ctx_, noisy_scaled_message(ct));
+  return std::move(decrypt_batch(std::span<const Ciphertext>(&ct, 1)).front());
 }
 
 std::vector<Plaintext> Decryptor::decrypt_batch(std::span<const Ciphertext> cts) const {
   const auto& p = ctx_.params();
   const auto& ntt = ctx_.ntt();
   const std::size_t count = cts.size();
-  std::vector<std::vector<u64>> bufs(count);
-  std::vector<u64*> ptrs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    bufs[i] = cts[i].c1.coeffs();
-    ptrs[i] = bufs[i].data();
-  }
-  ntt.forward_batch_into(ptrs);
-  for (std::size_t i = 0; i < count; ++i) {
-    ntt.pointwise(std::span<const u64>(bufs[i]), std::span<const u64>(s_ntt_),
-                  std::span<u64>(bufs[i]));
-  }
-  ntt.inverse_batch_into(ptrs);
+  // Each output plaintext's storage first holds c1·s mod q, then is rounded
+  // in place with c0 added: no buffer besides the outputs and the batched
+  // transform's SoA scratch.
   std::vector<Plaintext> out;
   out.reserve(count);
+  core::ScratchFrame frame(core::thread_scratch());
+  std::span<u64*> prods = frame.alloc<u64*>(count);
   for (std::size_t i = 0; i < count; ++i) {
-    Poly v(p.q, std::move(bufs[i]));
-    v.add_inplace(cts[i].c0);
-    out.push_back(round_to_plaintext(ctx_, v));
+    if (cts[i].c0.degree() != p.n || cts[i].c1.degree() != p.n) {
+      throw std::invalid_argument("Decryptor: ciphertext degree mismatch");
+    }
+    out.push_back({Poly(p.t, cts[i].c1.coeffs())});
+    prods[i] = out.back().poly.coeffs().data();
+  }
+  ntt.forward_batch_into(prods, &frame.arena());
+  for (u64* prod : prods) {
+    ntt.pointwise(std::span<const u64>(prod, p.n), std::span<const u64>(s_ntt_),
+                  std::span<u64>(prod, p.n));
+  }
+  ntt.inverse_batch_into(prods, &frame.arena());
+  for (std::size_t i = 0; i < count; ++i) {
+    round_to_plaintext(p, cts[i].c0.coeffs().data(), prods[i]);
   }
   return out;
 }
@@ -154,13 +174,10 @@ std::vector<Plaintext> Decryptor::decrypt_batch(std::span<const Ciphertext> cts)
 double Decryptor::invariant_noise_budget(const Ciphertext& ct) const {
   const auto& p = ctx_.params();
   const Poly v = noisy_scaled_message(ct);
-  const Plaintext m = decrypt(ct);
-  const u64 delta = p.delta();
+  const Poly expect = ctx_.scaled_message(decrypt(ct));
   u64 max_noise = 0;
   for (std::size_t i = 0; i < p.n; ++i) {
-    const u64 lifted = hemath::from_signed(hemath::to_signed(m.poly[i], p.t), p.q);
-    const u64 expect = hemath::mul_mod(lifted, delta, p.q);
-    const u64 noise = hemath::sub_mod(v[i], expect, p.q);
+    const u64 noise = hemath::sub_mod(v[i], expect[i], p.q);
     const i64 centered = hemath::to_signed(noise, p.q);
     const u64 mag = static_cast<u64>(centered < 0 ? -centered : centered);
     if (mag > max_noise) max_noise = mag;

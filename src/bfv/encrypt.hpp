@@ -57,11 +57,15 @@ class Decryptor {
   /// caching fwd(s) removes one of the two forward transforms per call.
   Decryptor(const BfvContext& ctx, SecretKey sk);
 
+  /// round(t/q · (c0 + c1·s)) mod t, rounded exactly (half away from zero).
   Plaintext decrypt(const Ciphertext& ct) const;
 
   /// Batched decryption: the c1 forward transforms and the product inverse
   /// transforms run through the batched SoA NTT (hemath/ntt), loading each
-  /// twiddle once per batch. Bit-identical to a loop of decrypt() calls.
+  /// twiddle once per batch; working buffers come from the calling thread's
+  /// scratch arena. Bit-identical to a loop of decrypt() calls. Callers that
+  /// fan decryption over a pool hand each worker one SoA group
+  /// (simd_batch::active_group_lanes() ciphertexts).
   std::vector<Plaintext> decrypt_batch(std::span<const Ciphertext> cts) const;
 
   /// Bits of noise budget remaining, SEAL-style: log2(q/2t) minus the log of

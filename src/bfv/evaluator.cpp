@@ -17,23 +17,12 @@ void Evaluator::negate_inplace(Ciphertext& ct) const {
   ct.c1.negate_inplace();
 }
 
-Poly Evaluator::delta_scaled(const Plaintext& pt) const {
-  const auto& p = ctx_.params();
-  Poly out(p.q, p.n);
-  const u64 delta = p.delta();
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const u64 lifted = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
-    out[i] = hemath::mul_mod(lifted, delta, p.q);
-  }
-  return out;
-}
-
 void Evaluator::add_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
-  ct.c0.add_inplace(delta_scaled(pt));
+  ct.c0.add_inplace(ctx_.scaled_message(pt));
 }
 
 void Evaluator::sub_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
-  ct.c0.sub_inplace(delta_scaled(pt));
+  ct.c0.sub_inplace(ctx_.scaled_message(pt));
 }
 
 Ciphertext Evaluator::multiply_plain(const Ciphertext& ct, const PlainSpectrum& w) const {

@@ -50,8 +50,6 @@ class Evaluator {
   Ciphertext finalize(const CiphertextAccumulator& accum) const;
 
  private:
-  Poly delta_scaled(const Plaintext& pt) const;
-
   const BfvContext& ctx_;
   mutable PolyMulEngine engine_;
 };

@@ -118,9 +118,28 @@ Poly PolyMulEngine::inverse_to_poly(const std::vector<fft::cplx>& spec) const {
   std::span<double> vals = frame.alloc<double>(p.n);
   ctx_.fft().inverse_into(spec, vals, &frame.arena());
   bump(counters_.inverse_transforms);
-  Poly out(p.q, p.n);
+  // from_signed(llround(x), q) without a division. Below 2^62 the
+  // truncation and the fraction are exact in double, so whole + (frac >=
+  // 1/2) is llround's half-away-from-zero magnitude; the reduction takes its
+  // quotient from 1/q, which is off by at most one once q > 2^11 (smaller
+  // moduli loop a few more times). Larger or non-finite x keeps the library
+  // call, so inputs outside llround's range map exactly as it maps them.
+  const u64 q = p.q;
+  const double inv_q = 1.0 / static_cast<double>(q);
+  Poly out(q, p.n);
   for (std::size_t i = 0; i < p.n; ++i) {
-    out[i] = hemath::from_signed(static_cast<i64>(std::llround(vals[i])), p.q);
+    const double x = vals[i];
+    const double a = std::fabs(x);
+    if (!(a < 0x1p62)) {
+      out[i] = hemath::from_signed(static_cast<i64>(std::llround(x)), q);
+      continue;
+    }
+    const u64 whole = static_cast<u64>(a);
+    const u64 mag = whole + (a - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+    i64 r = static_cast<i64>(mag - static_cast<u64>(static_cast<double>(mag) * inv_q) * q);
+    while (r < 0) r += static_cast<i64>(q);
+    while (r >= static_cast<i64>(q)) r -= static_cast<i64>(q);
+    out[i] = x < 0 && r != 0 ? q - static_cast<u64>(r) : static_cast<u64>(r);
   }
   return out;
 }

@@ -54,8 +54,10 @@ struct CipherSpectrum {
   std::vector<u64> pow2;
 };
 
-/// Spectral-domain accumulator: channel tiles and stride phases sum here
-/// before the single inverse transform per output polynomial (Fig. 4(b)).
+/// Spectral-domain accumulator: channel tiles sum here before the single
+/// inverse transform per output polynomial (Fig. 4(b)). Stride phases do
+/// not: ConvRunner sums their decrypted *shares*, so a strided layer returns
+/// one ciphertext per live phase, tile and output channel.
 /// kPow2 accumulates coefficient-domain residues (each product is a full
 /// negacyclic multiply; the "inverse transform" in finalize is a copy).
 struct SpectralAccumulator {

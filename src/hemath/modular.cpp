@@ -31,16 +31,6 @@ u64 inv_mod(u64 a, u64 q) {
   return static_cast<u64>(t);
 }
 
-i64 to_signed(u64 a, u64 q) {
-  return a > q / 2 ? static_cast<i64>(a) - static_cast<i64>(q) : static_cast<i64>(a);
-}
-
-u64 from_signed(i64 a, u64 q) {
-  i64 m = a % static_cast<i64>(q);
-  if (m < 0) m += static_cast<i64>(q);
-  return static_cast<u64>(m);
-}
-
 BarrettReducer::BarrettReducer(u64 modulus) : q_(modulus) {
   if (modulus < 2 || modulus >= (u64{1} << 62)) {
     throw std::invalid_argument("BarrettReducer: modulus must be in [2, 2^62)");

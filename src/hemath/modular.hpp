@@ -37,6 +37,24 @@ inline u64 mul_mod(u64 a, u64 b, u64 q) {
   return static_cast<u64>((static_cast<u128>(a) * b) % q);
 }
 
+/// Shoup companion of a fixed multiplier w < q: floor(w * 2^64 / q).
+inline u64 shoup_companion(u64 w, u64 q) {
+  return static_cast<u64>((static_cast<u128>(w) << 64) / q);
+}
+
+/// x * w mod q given w's Shoup companion ws, for any x and q < 2^63: two
+/// plain multiplies and a subtraction, result in [0, 2q).
+inline u64 shoup_mul_lazy(u64 x, u64 w, u64 ws, u64 q) {
+  const u64 hi = static_cast<u64>((static_cast<u128>(x) * ws) >> 64);
+  return x * w - hi * q;  // wraps mod 2^64; lands in [0, 2q)
+}
+
+/// Fully reduced x * w mod q (shoup_mul_lazy plus one conditional subtract).
+inline u64 shoup_mul(u64 x, u64 w, u64 ws, u64 q) {
+  const u64 r = shoup_mul_lazy(x, w, ws, q);
+  return r >= q ? r - q : r;
+}
+
 /// a^e mod q by square-and-multiply.
 u64 pow_mod(u64 a, u64 e, u64 q);
 
@@ -44,11 +62,19 @@ u64 pow_mod(u64 a, u64 e, u64 q);
 /// Throws std::invalid_argument if the inverse does not exist.
 u64 inv_mod(u64 a, u64 q);
 
-/// Signed representative of a mod q in (-q/2, q/2].
-i64 to_signed(u64 a, u64 q);
+/// Signed representative of a mod q in (-q/2, q/2], for a < q.
+inline i64 to_signed(u64 a, u64 q) {
+  return a > q / 2 ? static_cast<i64>(a) - static_cast<i64>(q) : static_cast<i64>(a);
+}
 
-/// Map a signed value back into [0, q).
-u64 from_signed(i64 a, u64 q);
+/// Map a signed value back into [0, q), q < 2^63. The remainder is taken
+/// only when |a| >= q; every lift of a centered residue skips it.
+inline u64 from_signed(i64 a, u64 q) {
+  const u64 mag = a < 0 ? u64{0} - static_cast<u64>(a) : static_cast<u64>(a);
+  if (mag < q) return a < 0 ? q - mag : mag;
+  const u64 r = mag % q;
+  return a < 0 && r != 0 ? q - r : r;
+}
 
 /// Barrett reduction with a precomputed 128-bit reciprocal.
 ///

@@ -33,26 +33,37 @@ NttTables::NttTables(u64 q, std::size_t n) : q_(q), n_(n) {
     psi_inv_br_[i] = pow_inv[r];
   }
 
-  // Shoup companions for the batched SoA kernels. The lazy arithmetic needs
-  // headroom (coefficients reach 4q), so only primes below 2^61 qualify;
-  // the batch entry points fall back to the exact loop otherwise.
+  // Shoup companions for the lazy SoA kernels (hemath/simd_batch), which run
+  // every transform, single or batched. The lazy arithmetic needs headroom
+  // (coefficients reach 4q), so only primes below 2^61 qualify; wider primes
+  // take the fully reducing 128-bit loop.
   shoup_ok_ = q < (u64{1} << 61);
   if (shoup_ok_) {
-    const auto shoup = [q](u64 w) {
-      return static_cast<u64>((static_cast<u128>(w) << 64) / q);
-    };
-    n_inv_shoup_ = shoup(n_inv_);
+    n_inv_shoup_ = shoup_companion(n_inv_, q);
     psi_br_shoup_.resize(n);
     psi_inv_br_shoup_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      psi_br_shoup_[i] = shoup(psi_br_[i]);
-      psi_inv_br_shoup_[i] = shoup(psi_inv_br_[i]);
+      psi_br_shoup_[i] = shoup_companion(psi_br_[i], q);
+      psi_inv_br_shoup_[i] = shoup_companion(psi_inv_br_[i], q);
     }
   }
 }
 
+simd_batch::NttStageTables NttTables::forward_stages() const {
+  return {psi_br_.data(), psi_br_shoup_.data(), 0, 0, q_};
+}
+
+simd_batch::NttStageTables NttTables::inverse_stages() const {
+  return {psi_inv_br_.data(), psi_inv_br_shoup_.data(), n_inv_, n_inv_shoup_, q_};
+}
+
 void NttTables::forward(std::span<u64> a) const {
   if (a.size() != n_) throw std::invalid_argument("NttTables::forward: size mismatch");
+  if (shoup_ok_) {
+    simd_batch::ntt_forward_soa(a.data(), n_, 1, forward_stages());
+    return;
+  }
+  // q >= 2^61: no headroom for the lazy kernel, reduce fully per butterfly.
   std::size_t t = n_;
   for (std::size_t m = 1; m < n_; m <<= 1) {
     t >>= 1;
@@ -71,6 +82,10 @@ void NttTables::forward(std::span<u64> a) const {
 
 void NttTables::inverse(std::span<u64> a) const {
   if (a.size() != n_) throw std::invalid_argument("NttTables::inverse: size mismatch");
+  if (shoup_ok_) {
+    simd_batch::ntt_inverse_soa(a.data(), n_, 1, inverse_stages());
+    return;
+  }
   std::size_t t = 1;
   for (std::size_t m = n_; m > 1; m >>= 1) {
     std::size_t j1 = 0;
@@ -96,8 +111,7 @@ void NttTables::forward_batch_into(std::span<u64* const> polys,
     for (u64* p : polys) forward(std::span<u64>(p, n_));
     return;
   }
-  const simd_batch::NttStageTables tb{psi_br_.data(), psi_br_shoup_.data(), 0, 0, q_};
-  simd_batch::ntt_forward_batch(polys, n_, tb, arena);
+  simd_batch::ntt_forward_batch(polys, n_, forward_stages(), arena);
 }
 
 void NttTables::inverse_batch_into(std::span<u64* const> polys,
@@ -106,9 +120,7 @@ void NttTables::inverse_batch_into(std::span<u64* const> polys,
     for (u64* p : polys) inverse(std::span<u64>(p, n_));
     return;
   }
-  const simd_batch::NttStageTables tb{psi_inv_br_.data(), psi_inv_br_shoup_.data(), n_inv_,
-                                      n_inv_shoup_, q_};
-  simd_batch::ntt_inverse_batch(polys, n_, tb, arena);
+  simd_batch::ntt_inverse_batch(polys, n_, inverse_stages(), arena);
 }
 
 void NttTables::pointwise(std::span<const u64> a, std::span<const u64> b,

@@ -17,6 +17,10 @@
 
 namespace flash::hemath {
 
+namespace simd_batch {
+struct NttStageTables;
+}
+
 /// Precomputed tables for a fixed (q, N) pair. Construction cost is O(N);
 /// reuse tables across transforms of the same ring.
 class NttTables {
@@ -29,7 +33,10 @@ class NttTables {
   u64 psi() const { return psi_; }
 
   /// In-place forward negacyclic NTT. Input in standard order, output in
-  /// bit-reversed order (matching the paper's Fig. 3 DIT dataflow).
+  /// bit-reversed order (matching the paper's Fig. 3 DIT dataflow). For
+  /// q < 2^61 this runs the single-lane Shoup kernel of hemath/simd_batch;
+  /// wider primes take a fully reducing 128-bit loop. Outputs are canonical
+  /// residues either way.
   void forward(std::span<u64> a) const;
   void forward(std::vector<u64>& a) const { forward(std::span<u64>(a)); }
 
@@ -67,12 +74,16 @@ class NttTables {
   u64 n_inv_;     // N^-1 mod q
   std::vector<u64> psi_br_;      // ψ^bitrev(i), forward twiddles
   std::vector<u64> psi_inv_br_;  // ψ^-bitrev(i), inverse twiddles
-  // Shoup companions for the batched lazy kernels (hemath/simd_batch);
-  // populated only when q < 2^61 (shoup_ok_).
+  // Shoup companions for the lazy kernels (hemath/simd_batch); populated
+  // only when q < 2^61 (shoup_ok_).
   bool shoup_ok_ = false;
   u64 n_inv_shoup_ = 0;
   std::vector<u64> psi_br_shoup_;
   std::vector<u64> psi_inv_br_shoup_;
+
+  /// Kernel views of the twiddle tables; valid only when shoup_ok_.
+  simd_batch::NttStageTables forward_stages() const;
+  simd_batch::NttStageTables inverse_stages() const;
 };
 
 /// Negacyclic polynomial multiplication via NTT: c = a*b mod (X^N+1, q).

@@ -1,6 +1,7 @@
 #include "hemath/simd_batch.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace flash::hemath::simd_batch {
 
@@ -21,7 +22,13 @@ void unpack_soa(const u64* buf, std::size_t n, std::size_t g, u64* const* polys,
   }
 }
 
-void ntt_forward_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+namespace {
+
+// The scalar networks take the lane count as `Lanes`: a runtime std::size_t,
+// or std::integral_constant<std::size_t, 1> for the single-polynomial NTT,
+// whose constant lane loop compiles to a plain polynomial loop.
+template <typename Lanes>
+void forward_network(u64* buf, std::size_t n, Lanes g, const NttStageTables& tb) {
   const u64 q = tb.q;
   const u64 two_q = 2 * q;
   std::size_t t = n;
@@ -51,7 +58,8 @@ void ntt_forward_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTable
   }
 }
 
-void ntt_inverse_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+template <typename Lanes>
+void inverse_network(u64* buf, std::size_t n, Lanes g, const NttStageTables& tb) {
   const u64 q = tb.q;
   const u64 two_q = 2 * q;
   std::size_t t = 1;
@@ -84,6 +92,26 @@ void ntt_inverse_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTable
   }
 }
 
+using OneLane = std::integral_constant<std::size_t, 1>;
+
+}  // namespace
+
+void ntt_forward_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+  if (g == 1) {
+    forward_network(buf, n, OneLane{}, tb);
+  } else {
+    forward_network(buf, n, g, tb);
+  }
+}
+
+void ntt_inverse_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+  if (g == 1) {
+    inverse_network(buf, n, OneLane{}, tb);
+  } else {
+    inverse_network(buf, n, g, tb);
+  }
+}
+
 namespace {
 
 enum class Direction { kForward, kInverse };
@@ -110,7 +138,7 @@ void run_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb, D
 
 void ntt_batch(std::span<u64* const> polys, std::size_t n, const NttStageTables& tb,
                core::ScratchArena* arena, Direction dir) {
-  const std::size_t max_g = soa_group_lanes(simd::active_simd_level());
+  const std::size_t max_g = active_group_lanes();
   std::size_t done = 0;
   while (done < polys.size()) {
     const std::size_t remaining = polys.size() - done;

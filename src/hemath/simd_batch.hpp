@@ -1,4 +1,4 @@
-// SoA lane-batched NTT kernels: the batch-of-polynomials transform layer.
+// SoA lane-batched NTT kernels: the one exact NTT for q < 2^61.
 //
 // The per-polynomial NTT pays its twiddle loads and stage bookkeeping once
 // per polynomial. When the serving layer hands us B same-ring polynomials
@@ -7,13 +7,17 @@
 // (coefficient j of lane l lives at buf[j*G + l]), so one butterfly at
 // positions (j, j+t) is two contiguous G-lane vector loads and the twiddle
 // is broadcast once per (stage, block) instead of once per polynomial.
+// With G = 1 the buffer is a plain polynomial, and that scalar kernel is
+// what NttTables::forward/inverse run for a single polynomial.
 //
 // The kernels use Harvey's lazy-reduction form with Shoup companions
-// (hemath/shoup_ntt) and reduce to canonical residues at the end. A
+// (hemath::shoup_mul_lazy) and reduce to canonical residues at the end. A
 // negacyclic NTT output is a residue vector mod q, so canonical outputs are
-// representation-independent: the SoA kernels are bit-identical to both the
-// reference NttTables path and the ShoupNttTables path at every SIMD level,
-// which is what the cross-level differential tier asserts.
+// representation-independent: every lane width at every SIMD level yields
+// the residues a fully reducing loop would, which the cross-level
+// differential tier asserts (batch vs single lane) and the schoolbook and
+// direct-evaluation tests pin. NttTables keeps such a 128-bit loop only for
+// q >= 2^61, outside the lazy kernels' headroom.
 //
 // Lane-group dispatch (documented in ARCHITECTURE.md §11):
 //   * kAvx512 → groups of 8 lanes; a remainder of 2..4 drops to the 4-lane
@@ -48,6 +52,10 @@ inline constexpr std::size_t soa_group_lanes(simd::SimdLevel level) {
   return 1;
 }
 
+/// soa_group_lanes at the active level: the group width callers use when
+/// they split a batch into full SoA groups (e.g. to fan groups over a pool).
+inline std::size_t active_group_lanes() { return soa_group_lanes(simd::active_simd_level()); }
+
 /// Twiddle view for one transform direction. `w`/`ws` point at the
 /// bit-reversed twiddle table and its Shoup companions (psi_br or
 /// psi_inv_br); n_inv/n_inv_shoup are used by the inverse only.
@@ -58,12 +66,6 @@ struct NttStageTables {
   u64 n_inv_shoup = 0;
   u64 q = 0;
 };
-
-/// x*w mod q with Shoup companion ws; result in [0, 2q) for any x.
-inline u64 shoup_mul_lazy(u64 x, u64 w, u64 ws, u64 q) {
-  const u64 hi = static_cast<u64>((static_cast<u128>(x) * ws) >> 64);
-  return x * w - hi * q;  // wraps mod 2^64; lands in [0, 2q)
-}
 
 /// buf[j*g + l] = polys[l][j]; lanes l >= count are zero-filled.
 void pack_soa(const u64* const* polys, std::size_t count, std::size_t n, std::size_t g, u64* buf);

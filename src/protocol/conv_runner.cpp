@@ -34,10 +34,14 @@ tensor::Tensor3 subsample(const tensor::Tensor3& x, std::size_t s, std::size_t a
   return out;
 }
 
-void add_shares_inplace(tensor::Tensor3& acc, const tensor::Tensor3& other, u64 t) {
-  for (std::size_t i = 0; i < acc.data().size(); ++i) {
-    acc.data()[i] = static_cast<tensor::i64>(
-        hemath::add_mod(static_cast<u64>(acc.data()[i]), static_cast<u64>(other.data()[i]), t));
+/// acc[m] += other[m] cropped to acc's extent, mod t (one output channel).
+void add_cropped_channel(tensor::Tensor3& acc, const tensor::Tensor3& other, std::size_t m,
+                         u64 t) {
+  for (std::size_t y = 0; y < acc.height(); ++y) {
+    for (std::size_t x = 0; x < acc.width(); ++x) {
+      acc.at(m, y, x) = static_cast<tensor::i64>(hemath::add_mod(
+          static_cast<u64>(acc.at(m, y, x)), static_cast<u64>(other.at(m, y, x)), t));
+    }
   }
 }
 
@@ -147,34 +151,21 @@ ConvRunnerResult ConvRunner::run_padded(const tensor::Tensor3& padded,
     phase_results[i] = run_stride1(xp, wp, stream_base + (ph.index << 16), planned);
   });
 
-  // Crop each phase to the strided output extent and sum the shares locally
-  // (mod t) in fixed phase order. Modular addition is exact, so any order
-  // gives the same bits; fixed order keeps it auditable.
-  bool first = true;
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    ConvRunnerResult& phase = phase_results[i];
+  // Crop each phase to the strided output extent and sum its shares (mod t)
+  // straight into the zero-initialized output, in fixed phase order,
+  // parallel over output channels (each channel is a disjoint slab).
+  // Modular addition is exact, so the bits do not depend on the fan-out.
+  for (const ConvRunnerResult& phase : phase_results) {
     total.hconv_calls += phase.hconv_calls;
     total.bytes_client_to_server += phase.bytes_client_to_server;
     total.bytes_server_to_client += phase.bytes_server_to_client;
-    tensor::Tensor3 crop_c(weights.out_channels(), out_h, out_w);
-    tensor::Tensor3 crop_s(weights.out_channels(), out_h, out_w);
-    for (std::size_t m = 0; m < weights.out_channels(); ++m) {
-      for (std::size_t y = 0; y < out_h; ++y) {
-        for (std::size_t xx = 0; xx < out_w; ++xx) {
-          crop_c.at(m, y, xx) = phase.client_share.at(m, y, xx);
-          crop_s.at(m, y, xx) = phase.server_share.at(m, y, xx);
-        }
-      }
-    }
-    if (first) {
-      total.client_share = crop_c;
-      total.server_share = crop_s;
-      first = false;
-    } else {
-      add_shares_inplace(total.client_share, crop_c, p.t);
-      add_shares_inplace(total.server_share, crop_s, p.t);
-    }
   }
+  core::for_range(pool_, weights.out_channels(), [&](std::size_t m) {
+    for (const ConvRunnerResult& phase : phase_results) {
+      add_cropped_channel(total.client_share, phase.client_share, m, p.t);
+      add_cropped_channel(total.server_share, phase.server_share, m, p.t);
+    }
+  });
   return total;
 }
 

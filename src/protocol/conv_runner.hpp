@@ -92,12 +92,14 @@ class ConvRunner {
 
   /// Run a same-plan batch: result[i] is bit-identical to
   /// run(xs[i], plan, stream_bases[i]). Requires xs.size() ==
-  /// stream_bases.size(). Each request's HConv units route their encrypt and
-  /// decrypt transforms through the batched SoA NTT entry points (scratch
-  /// from the worker's thread-local arena — zero steady-state allocations in
-  /// the transform layer), so a warm plan serves the batch without the
-  /// per-polynomial twiddle reload the per-request path would pay. This is
-  /// the call the serving layer's plan-batch dispatch drains into.
+  /// stream_bases.size(). Requests run one after another, each fanning its
+  /// HConv units over the pool against the warm plan's spectra. Within a
+  /// unit, decryption runs the batched SoA NTT over groups of output
+  /// ciphertexts and encryption's inverse pair is one batched call, while
+  /// encryption's forward transform of u is a single-polynomial transform
+  /// (scratch from the worker's thread-local arena — zero steady-state
+  /// allocations in the transform layer). This is the call the serving
+  /// layer's plan-batch dispatch drains into.
   std::vector<ConvRunnerResult> run_batch(std::span<const tensor::Tensor3> xs,
                                           const ConvPlan& plan,
                                           std::span<const std::uint64_t> stream_bases);

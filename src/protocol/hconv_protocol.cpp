@@ -1,10 +1,12 @@
 #include "protocol/hconv_protocol.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
 
 #include "encoding/matvec.hpp"
+#include "hemath/simd_batch.hpp"
 
 namespace flash::protocol {
 
@@ -210,16 +212,24 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   result.profile.bytes_server_to_client += out_channels * ciphertext_bytes(p);
   result.profile.mask_s += seconds_since(t0);
 
-  // --- Client: decrypt and extract. All output channels decrypt in one
-  // batch so their NTTs run on the SoA batched path (bit-identical to the
-  // per-channel loop this replaces).
+  // --- Client: decrypt and extract. The output ciphertexts split into
+  // groups of one SoA width, so each group's NTTs run as one batched sweep;
+  // the groups fan out over the pool and each writes only its own channels'
+  // shares. Every ciphertext decrypts independently, so the shares are
+  // bit-identical to a serial loop.
   t0 = std::chrono::steady_clock::now();
-  const std::vector<bfv::Plaintext> decs = decryptor_.decrypt_batch(acc);
+  const std::size_t group = hemath::simd_batch::active_group_lanes();
   result.client_share.resize(out_channels);
-  core::for_range(pool_, out_channels, [&](std::size_t m) {
-    auto& share = result.client_share[m];
-    share.reserve(positions.size());
-    for (std::size_t pos : positions) share.push_back(decs[m].poly[pos]);
+  core::for_range(pool_, (out_channels + group - 1) / group, [&](std::size_t g) {
+    const std::size_t first = g * group;
+    const std::size_t count = std::min(group, out_channels - first);
+    const std::vector<bfv::Plaintext> decs =
+        decryptor_.decrypt_batch(std::span<const bfv::Ciphertext>(acc).subspan(first, count));
+    for (std::size_t k = 0; k < count; ++k) {
+      auto& share = result.client_share[first + k];
+      share.reserve(positions.size());
+      for (std::size_t pos : positions) share.push_back(decs[k].poly[pos]);
+    }
   });
   result.profile.decrypt_s += seconds_since(t0);
 

@@ -12,7 +12,6 @@
 #include "dse/space.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/pow2.hpp"
-#include "hemath/shoup_ntt.hpp"
 #include "protocol/conv_runner.hpp"
 #include "serve/conv_server.hpp"
 #include "serve/network_session.hpp"
@@ -73,26 +72,10 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
     }
   }
 
-  // --- 2. Shoup/Harvey lazy-reduction NTT: bit-equal to the reference. ---
-  {
-    const hemath::ShoupNttTables shoup(p.q, n);
-    std::vector<u64> ws = w_lifted;
-    std::vector<u64> cs = c.ct;
-    shoup.forward(ws);
-    shoup.forward(cs);
-    std::vector<u64> prod(n);
-    for (std::size_t i = 0; i < n; ++i) prod[i] = mul_mod(cs[i], ws[i], p.q);
-    shoup.inverse(prod);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (prod[i] != ref[i]) return fail("shoup-vs-ntt", coeff_mismatch(i, prod[i], ref[i]));
-    }
-  }
-
-  // --- 2b. Batched SoA transforms: bit-equal to a loop of singles at the
+  // --- 2. Batched SoA transforms: bit-equal to a loop of singles at the
   // active dispatch level (the cross-level tier pins the level per run). ---
   {
-    const hemath::NttTables plain_ntt(p.q, n);
-    const hemath::ShoupNttTables shoup(p.q, n);
+    const hemath::NttTables& tables = ctx.ntt();
     // Five lanes (full 4-group + remainder) derived from the case operands.
     std::vector<std::vector<u64>> lanes(5, c.ct);
     for (std::size_t b = 0; b < lanes.size(); ++b) {
@@ -100,41 +83,34 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
         lanes[b][i] = hemath::add_mod(c.ct[i], hemath::mul_mod(b, w_lifted[i], p.q), p.q);
       }
     }
-    const auto batch_check = [&](const auto& tables, const char* check) -> OracleReport {
-      std::vector<std::vector<u64>> singles = lanes;
-      for (auto& l : singles) tables.forward(l);
-      std::vector<std::vector<u64>> batch = lanes;
-      std::vector<u64*> ptrs(batch.size());
-      for (std::size_t b = 0; b < batch.size(); ++b) ptrs[b] = batch[b].data();
-      tables.forward_batch_into(ptrs);
-      for (std::size_t b = 0; b < batch.size(); ++b) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (batch[b][i] != singles[b][i]) {
-            return fail(check, "lane " + std::to_string(b) + ": " +
-                                   coeff_mismatch(i, batch[b][i], singles[b][i]));
-          }
+    std::vector<std::vector<u64>> singles = lanes;
+    for (auto& l : singles) tables.forward(l);
+    std::vector<std::vector<u64>> batch = lanes;
+    std::vector<u64*> ptrs(batch.size());
+    for (std::size_t b = 0; b < batch.size(); ++b) ptrs[b] = batch[b].data();
+    tables.forward_batch_into(ptrs);
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (batch[b][i] != singles[b][i]) {
+          return fail("ntt-batch-vs-singles", "lane " + std::to_string(b) + ": " +
+                                                  coeff_mismatch(i, batch[b][i], singles[b][i]));
         }
       }
-      // Inverse batch on the forward outputs must round back identically.
-      for (auto& l : singles) tables.inverse(l);
-      tables.inverse_batch_into(ptrs);
-      for (std::size_t b = 0; b < batch.size(); ++b) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (batch[b][i] != singles[b][i]) {
-            return fail(check, "inverse lane " + std::to_string(b) + ": " +
-                                   coeff_mismatch(i, batch[b][i], singles[b][i]));
-          }
+    }
+    // Inverse batch on the forward outputs must round back identically.
+    for (auto& l : singles) tables.inverse(l);
+    tables.inverse_batch_into(ptrs);
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (batch[b][i] != singles[b][i]) {
+          return fail("ntt-batch-vs-singles", "inverse lane " + std::to_string(b) + ": " +
+                                                  coeff_mismatch(i, batch[b][i], singles[b][i]));
         }
       }
-      return OracleReport{};
-    };
-    OracleReport r = batch_check(plain_ntt, "ntt-batch-vs-singles");
-    if (!r.ok) return r;
-    r = batch_check(shoup, "shoup-batch-vs-singles");
-    if (!r.ok) return r;
+    }
   }
 
-  // --- 2c. Z_{2^k} mask-reduce backend: bit-equal to schoolbook mod 2^k. ---
+  // --- 2b. Z_{2^k} mask-reduce backend: bit-equal to schoolbook mod 2^k. ---
   // The ring width is derived from the case seed among widths spanning the
   // sub-32-bit, equal-to-NTT-width and near-64 wrap regimes; the same case
   // operands are reduced into the ring, so the whole generator corpus (sparse

@@ -3,8 +3,8 @@
 //
 // Exactness hierarchy (who must match whom, and how):
 //   * schoolbook mod-q multiplication      — the ground truth (small n);
-//   * NttTables (the kNtt engine path)     — bit-equal to schoolbook;
-//   * ShoupNttTables                       — bit-equal to the NTT reference;
+//   * NttTables (the kNtt engine path)     — bit-equal to schoolbook, and
+//     its batched SoA entry points bit-equal to its single transforms;
 //   * double-FFT engine (kFft)             — bit-equal while the workload
 //     stays inside the rounding-noise margin (the generators enforce it);
 //   * sparse planner/executor              — bit-equal: skipping/merging are

@@ -21,7 +21,6 @@
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/sampler.hpp"
-#include "hemath/shoup_ntt.hpp"
 #include "sparsefft/executor.hpp"
 
 namespace {
@@ -134,10 +133,12 @@ TEST(AllocFree, NttSpanForwardInversePointwise) {
   EXPECT_EQ(allocs() - before, 0u);
 }
 
+// The single-polynomial transforms run the in-place g = 1 Shoup kernel: no
+// scratch, no allocation, from the first call on.
 TEST(AllocFree, ShoupNttSpanForwardInverse) {
   const std::size_t n = 2048;
   const u64 q = hemath::find_ntt_prime(49, n);
-  hemath::ShoupNttTables tables(q, n);
+  hemath::NttTables tables(q, n);
   hemath::Sampler sampler(10);
   std::vector<u64> a = sampler.uniform_poly(q, n).coeffs();
   const std::uint64_t before = allocs();
@@ -150,7 +151,6 @@ TEST(AllocFree, NttBatchIntoAfterWarmup) {
   const std::size_t n = 2048, batch = 6;
   const u64 q = hemath::find_ntt_prime(49, n);
   hemath::NttTables tables(q, n);
-  hemath::ShoupNttTables shoup(q, n);
   hemath::Sampler sampler(11);
   std::vector<std::vector<u64>> polys(batch);
   for (auto& p : polys) p = sampler.uniform_poly(q, n).coeffs();
@@ -160,14 +160,10 @@ TEST(AllocFree, NttBatchIntoAfterWarmup) {
   // Warmup sizes the arena for the SoA lane buffers.
   tables.forward_batch_into(ptrs, &arena);
   tables.inverse_batch_into(ptrs, &arena);
-  shoup.forward_batch_into(ptrs, &arena);
-  shoup.inverse_batch_into(ptrs, &arena);
 
   const std::uint64_t before = allocs();
   tables.forward_batch_into(ptrs, &arena);
   tables.inverse_batch_into(ptrs, &arena);
-  shoup.forward_batch_into(ptrs, &arena);
-  shoup.inverse_batch_into(ptrs, &arena);
   EXPECT_EQ(allocs() - before, 0u);
 }
 

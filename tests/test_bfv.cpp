@@ -98,6 +98,90 @@ TEST(Bfv, PublicKeyEncryptDecrypt) {
   EXPECT_EQ(f.ctx.decode_signed(f.dec.decrypt(ct)), vals);
 }
 
+/// round(t·c/q) mod t for the centered representative of c, halves away
+/// from zero, from the 128-bit quotient and remainder: what decryption of a
+/// c1 = 0 ciphertext with c0 = c must return.
+u64 reference_rounding(u64 c, u64 t, u64 q) {
+  const bool negative = c > q / 2;
+  const hemath::u128 scaled = static_cast<hemath::u128>(t) * (negative ? q - c : c);
+  u64 r = static_cast<u64>(scaled / q);
+  if (2 * (scaled % q) >= q) ++r;
+  return negative && r != 0 ? t - r : r;
+}
+
+/// c0 probes: the edges 0, q/2, q/2 + 1, q - 1; the values around the
+/// rounding boundary floor((2k+1)q / 2t) for each k in `ks` (t·c/q crosses
+/// k + 1/2 between the boundary and its successor); and random values.
+std::vector<u64> rounding_probes(const BfvParams& p, const std::vector<u64>& ks,
+                                 std::mt19937_64& rng) {
+  std::vector<u64> probes = {0, p.q / 2, p.q / 2 + 1, p.q - 1};
+  for (u64 k : ks) {
+    const u64 b = static_cast<u64>((2 * static_cast<hemath::u128>(k) + 1) * p.q /
+                                   (2 * static_cast<hemath::u128>(p.t)));
+    for (u64 c : {b - 1, b, b + 1, b + 2}) {
+      if (c < p.q) probes.push_back(c);
+    }
+  }
+  for (int i = 0; i < 256; ++i) probes.push_back(rng() % p.q);
+  return probes;
+}
+
+/// Decrypts c1 = 0 ciphertexts carrying `probes` in c0, one by one and as a
+/// batch, and checks every coefficient against reference_rounding.
+void expect_exact_rounding(const BfvParams& p, const std::vector<u64>& probes) {
+  const BfvContext ctx(p);
+  hemath::Sampler sampler(5);
+  KeyGenerator keygen(ctx, sampler);
+  const Decryptor dec(ctx, keygen.secret_key());
+  std::vector<Ciphertext> cts((probes.size() + p.n - 1) / p.n, ctx.make_ciphertext());
+  for (std::size_t i = 0; i < probes.size(); ++i) cts[i / p.n].c0[i % p.n] = probes[i];
+  const std::vector<Plaintext> batch = dec.decrypt_batch(cts);
+  ASSERT_EQ(batch.size(), cts.size());
+  for (std::size_t c = 0; c < cts.size(); ++c) {
+    const Plaintext single = dec.decrypt(cts[c]);
+    for (std::size_t j = 0; j < p.n; ++j) {
+      const u64 c0 = cts[c].c0[j];
+      const u64 want = reference_rounding(c0, p.t, p.q);
+      ASSERT_EQ(single.poly[j], want) << "decrypt c0=" << c0 << " t=" << p.t << " q=" << p.q;
+      ASSERT_EQ(batch[c].poly[j], want) << "decrypt_batch c0=" << c0 << " t=" << p.t
+                                        << " q=" << p.q;
+    }
+  }
+}
+
+BfvParams rounding_params(std::size_t n, u64 t, u64 q) {
+  BfvParams p;
+  p.n = n;
+  p.t = t;
+  p.q = q;
+  p.validate();
+  return p;
+}
+
+TEST(Bfv, DecryptionRoundingIsExactAtEveryBoundary) {
+  std::mt19937_64 rng(17);
+  // Small rings: every boundary, power-of-two and odd t.
+  for (const BfvParams& p : {BfvParams::create(8, 4, 7), BfvParams::create(8, 8, 12),
+                             rounding_params(8, 7, hemath::find_ntt_prime(7, 8))}) {
+    std::vector<u64> ks(p.t);
+    for (u64 k = 0; k < p.t; ++k) ks[k] = k;
+    expect_exact_rounding(p, rounding_probes(p, ks, rng));
+  }
+  // Paper scale (t = 2^20, 49-bit q), the widest t the division-free path
+  // takes (just under 2^50, 61-bit q), and the widest t the validator admits
+  // ((q-1)/2 with q just below 2^62, the largest prime the library finds): a
+  // sample of boundaries, extremes included.
+  const u64 q62 = hemath::next_prime_congruent((u64{1} << 62) - (u64{1} << 40), 16);
+  const u64 q61 = hemath::find_ntt_prime(61, 8);
+  for (const BfvParams& p : {BfvParams::create(4096, 20, 49),
+                             rounding_params(8, (u64{1} << 50) - 1, q61),
+                             rounding_params(8, (q62 - 1) / 2, q62)}) {
+    std::vector<u64> ks = {0, 1, p.t / 2 - 1, p.t / 2, p.t / 2 + 1, p.t - 1};
+    for (int i = 0; i < 4096; ++i) ks.push_back(rng() % p.t);
+    expect_exact_rounding(p, rounding_probes(p, ks, rng));
+  }
+}
+
 TEST(Bfv, FreshNoiseBudgetPositiveAndPredicted) {
   Fixture f;
   std::mt19937_64 rng(4);

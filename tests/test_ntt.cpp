@@ -1,9 +1,11 @@
 // Negacyclic NTT: inverse property, convolution theorem vs schoolbook,
-// linearity, and ring identities.
+// linearity, ring identities, and the lazy Shoup kernel against direct
+// evaluation.
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "hemath/bitrev.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/primes.hpp"
 
@@ -89,6 +91,88 @@ TEST_P(NttTest, TransformIsLinear) {
 INSTANTIATE_TEST_SUITE_P(Degrees, NttTest,
                          ::testing::Values(std::size_t{8}, std::size_t{64}, std::size_t{256},
                                            std::size_t{2048}));
+
+// For q < 2^61 NttTables runs the lazy Shoup kernel, whose coefficients
+// reach 4q between stages. These cases pin it where that headroom is
+// tightest (59-bit primes), at the smallest degree (n = 8), on extreme
+// inputs and on full reduction, against an independent reference: forward
+// output i is the input evaluated at psi^(2*bitrev(i) + 1).
+void expect_forward_matches_evaluation(const NttTables& tables, const std::vector<u64>& a) {
+  const std::size_t n = tables.degree();
+  const u64 q = tables.modulus();
+  std::vector<u64> spec = a;
+  tables.forward(spec);
+  const int log_n = log2_exact(n);
+  const std::size_t step = n <= 256 ? 1 : n / 64;  // sample large degrees
+  for (std::size_t i = 0; i < n; i += step) {
+    const u64 x = pow_mod(tables.psi(), 2 * u64{bit_reverse(static_cast<std::uint32_t>(i), log_n)} + 1, q);
+    u64 value = 0;
+    for (std::size_t k = n; k-- > 0;) value = add_mod(mul_mod(value, x, q), a[k], q);
+    ASSERT_EQ(spec[i], value) << "index " << i << " n=" << n << " q=" << q;
+  }
+}
+
+class ShoupNtt : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(ShoupNtt, MatchesReferenceForward) {
+  const auto [bits, n] = GetParam();
+  const u64 q = find_ntt_prime(bits, n);
+  const NttTables tables(q, n);
+  std::mt19937_64 rng(n * 3 + bits);
+  expect_forward_matches_evaluation(tables, random_poly(n, q, rng));
+}
+
+TEST_P(ShoupNtt, InverseRoundTrip) {
+  const auto [bits, n] = GetParam();
+  const u64 q = find_ntt_prime(bits, n);
+  const NttTables tables(q, n);
+  std::mt19937_64 rng(n * 5 + bits);
+  const auto a = random_poly(n, q, rng);
+  auto b = a;
+  tables.forward(b);
+  tables.inverse(b);
+  EXPECT_EQ(a, b);
+}
+
+TEST_P(ShoupNtt, OutputsFullyReduced) {
+  const auto [bits, n] = GetParam();
+  const u64 q = find_ntt_prime(bits, n);
+  const NttTables tables(q, n);
+  std::mt19937_64 rng(n * 7 + bits);
+  auto a = random_poly(n, q, rng);
+  tables.forward(a);
+  for (u64 x : a) EXPECT_LT(x, q);
+  tables.inverse(a);
+  for (u64 x : a) EXPECT_LT(x, q);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, ShoupNtt,
+                         ::testing::Combine(::testing::Values(30, 45, 59),
+                                            ::testing::Values(std::size_t{8}, std::size_t{256},
+                                                              std::size_t{4096})));
+
+TEST(ShoupNttEdge, ExtremeCoefficients) {
+  const std::size_t n = 64;
+  const u64 q = find_ntt_prime(59, n);
+  const NttTables tables(q, n);
+  std::vector<u64> a(n, q - 1);  // all coefficients at the modulus edge
+  a[0] = 0;
+  expect_forward_matches_evaluation(tables, a);
+  auto b = a;
+  tables.forward(b);
+  tables.inverse(b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(ShoupNttEdge, ConvolutionAgreesWithReference) {
+  const std::size_t n = 128;
+  const u64 q = find_ntt_prime(50, n);
+  const NttTables tables(q, n);
+  std::mt19937_64 rng(99);
+  const auto a = random_poly(n, q, rng);
+  const auto b = random_poly(n, q, rng);
+  EXPECT_EQ(negacyclic_multiply(tables, a, b), negacyclic_multiply_schoolbook(q, a, b));
+}
 
 TEST(Ntt, RejectsWrongModulus) {
   EXPECT_THROW(NttTables(17, 64), std::invalid_argument);  // 17 != 1 mod 128

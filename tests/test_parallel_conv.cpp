@@ -40,8 +40,10 @@ TEST_P(ParallelConvParity, BitIdenticalToSerialAndMatchesOracle) {
   std::mt19937_64 rng(17 + stride * 10 + pad);
   // Large enough spatially that stride-1 splits into several tiles (the
   // 1024-degree ring fits ~24x24 patches), so the pool has real fan-out.
+  // 13 output channels decrypt as a full SoA group plus a remainder at both
+  // the 8- and the 4-lane width.
   const tensor::Tensor3 x = tensor::random_activations(3, 20, 20, 4, rng);
-  const tensor::Tensor4 w = tensor::random_weights(4, 3, 3, 4, rng);
+  const tensor::Tensor4 w = tensor::random_weights(13, 3, 3, 4, rng);
 
   const ConvRunnerResult serial = run_with_threads(x, w, stride, pad, 1);
   const ConvRunnerResult parallel = run_with_threads(x, w, stride, pad, 8);

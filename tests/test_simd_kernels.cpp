@@ -16,7 +16,6 @@
 #include "hemath/pointwise.hpp"
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
-#include "hemath/shoup_ntt.hpp"
 #include "hemath/simd.hpp"
 #include "sparsefft/merged_kernels.hpp"
 
@@ -251,8 +250,7 @@ std::vector<std::vector<u64>> random_residues(std::size_t batch, std::size_t n, 
   return polys;
 }
 
-template <typename Tables>
-void check_ntt_batch_matches_singles(const Tables& tables, std::size_t n, u64 q) {
+void check_ntt_batch_matches_singles(const hemath::NttTables& tables, std::size_t n, u64 q) {
   std::mt19937_64 rng(n * 31 + q % 1024);
   for (std::size_t batch = 1; batch <= 9; ++batch) {
     const auto input = random_residues(batch, n, q, rng);
@@ -301,13 +299,6 @@ TEST(SimdBatchKernels, NttBatchLargeModulusFallbackStillMatches) {
   const u64 q = hemath::next_prime_congruent(u64{1} << 61, 2 * n);
   ASSERT_GE(q, u64{1} << 61);
   check_ntt_batch_matches_singles(hemath::NttTables(q, n), n, q);
-}
-
-TEST(SimdBatchKernels, ShoupNttBatchBitIdenticalToSinglesAcrossLevels) {
-  for (std::size_t n : {64u, 1024u}) {
-    const u64 q = hemath::find_ntt_prime(59, n);
-    check_ntt_batch_matches_singles(hemath::ShoupNttTables(q, n), n, q);
-  }
 }
 
 TEST(SimdBatchKernels, FxpFftBatchBitIdenticalToSinglesWithStats) {
