@@ -3,14 +3,14 @@
 // variance vs normalized weight-FFT power) and the Pareto front.
 //
 // The paper plots 1000 solutions per layer found by Bayesian optimization;
-// we run our evolutionary Pareto search for the same budget (see DESIGN.md
-// for the substitution rationale) and print a bucketed scatter plus the
-// front.
+// we run our Bayesian explorer (dse/bayesopt.hpp) for the same budget and
+// print a bucketed scatter plus the front, then compare it against uniform
+// random search under the same admission rule and budget.
 #include <cstdio>
 #include <map>
+#include <random>
 
 #include "core/flash_accelerator.hpp"
-#include "dse/bayesopt.hpp"
 #include "tensor/resnet.hpp"
 
 namespace {
@@ -20,7 +20,7 @@ void explore_layer(flash::core::FlashAccelerator& acc, const flash::tensor::Laye
   using namespace flash;
   std::printf("--- %s: layer %s (%zu ch %zux%zu, k=%zu) ---\n", tag, layer.name.c_str(), layer.in_c,
               layer.in_h, layer.in_w, layer.kernel);
-  dse::DseOptions opts;
+  dse::BayesOptions opts;
   opts.evaluations = 1000;
   const auto points = acc.explore_layer(layer, opts);
 
@@ -74,50 +74,40 @@ int main() {
   std::printf("threshold right, cutting hardware cost a further ~62.8%% (paper).\n");
 
   // Optimizer comparison at equal budget: the paper's Bayesian optimization
-  // (GP surrogate + ParEGO scalarization) vs our evolutionary archive.
+  // (GP surrogate + ParEGO scalarization) vs uniform random search, both
+  // admitting only SafetyCache-proven points.
   std::printf("\n--- optimizer comparison, 200 evaluations, layer 28 geometry ---\n");
   const encoding::LayerTiling tiling = encoding::plan_layer(layers[28], params.n);
   const dse::SpaceBounds bounds;
+  const dse::DesignSpace space(params.n / 2, bounds);
   const dse::ErrorModel error = dse::ErrorModel::from_weight_stats(params.n, tiling.weight_nnz, 8.0);
   const dse::CostModel cost(params.n / 2, bounds);
 
-  dse::BayesianExplorer bo(dse::DesignSpace(params.n / 2, bounds), dse::ErrorModel(error),
-                           dse::CostModel(cost), 20250307);
+  dse::BayesianExplorer bo(space, error, cost, 20250307);
   dse::BayesOptions bopts;
   bopts.evaluations = 200;
   const auto bo_points = bo.explore(bopts);
+  std::mt19937_64 rng(20250307);
+  const auto random_points = dse::safe_random_search(space, error, cost, 200, rng);
 
-  dse::DseExplorer evo(dse::DesignSpace(params.n / 2, bounds), dse::ErrorModel(error),
-                       dse::CostModel(cost), 20250307);
-  dse::DseOptions eopts;
-  eopts.evaluations = 200;
-  const auto evo_points = evo.explore(eopts);
-
+  auto best_under = [](const std::vector<dse::EvaluatedPoint>& points, double threshold) {
+    double best = 1e300;
+    for (const auto& p : points) {
+      if (p.error_variance <= threshold) best = std::min(best, p.normalized_power);
+    }
+    return best;
+  };
   for (double threshold : {1e-3, 1e-6, 1e-9}) {
-    double bo_best = 1e300, evo_best = 1e300;
-    for (const auto& p : bo_points) {
-      if (p.error_variance <= threshold) bo_best = std::min(bo_best, p.normalized_power);
-    }
-    for (const auto& p : evo_points) {
-      if (p.error_variance <= threshold) evo_best = std::min(evo_best, p.normalized_power);
-    }
-    std::printf("  T_err = %-8.0e  best power: bayesian %.4f | evolutionary %.4f\n", threshold,
-                bo_best, evo_best);
+    std::printf("  T_err = %-8.0e  best power: bayesian %.4f | safe random %.4f\n", threshold,
+                best_under(bo_points, threshold), best_under(random_points, threshold));
   }
 
   // The paper's training claim: approximation-aware training relaxes T_err
   // (the network tolerates ~10x more output error), and the DSE converts
   // that into ~62.8% lower hardware cost.
   std::printf("\n--- T_err relaxation via approximation-aware training ---\n");
-  auto best_under = [&](double threshold) {
-    double best = 1e300;
-    for (const auto& p : evo_points) {
-      if (p.error_variance <= threshold) best = std::min(best, p.normalized_power);
-    }
-    return best;
-  };
-  const double strict = best_under(1e-8);                  // no retraining
-  const double relaxed = best_under(1e-8 * 100.0);         // ~10x error tolerance
+  const double strict = best_under(bo_points, 1e-8);           // no retraining
+  const double relaxed = best_under(bo_points, 1e-8 * 100.0);  // ~10x error tolerance
   std::printf("  no retraining  (T_err 1e-8): power %.4f\n", strict);
   std::printf("  with training  (T_err 1e-6): power %.4f  -> %.1f%% cost reduction\n", relaxed,
               100.0 * (1.0 - relaxed / strict));

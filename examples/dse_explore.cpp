@@ -1,8 +1,8 @@
 // Design-space exploration for the approximate FFT (paper Section IV-C2 and
-// Fig. 11(b)(c)): explore per-stage bit-widths and the twiddle quantization
-// level k for one ResNet-50 layer, print the Pareto front, and validate the
-// analytical error model against the bit-accurate simulator at the chosen
-// operating point.
+// Fig. 11(b)(c)): Bayesian optimization over per-stage bit-widths and the
+// twiddle quantization level k for one ResNet-50 layer, print the Pareto
+// front, and validate the analytical error model against the bit-accurate
+// simulator at the chosen operating point.
 //
 //   $ ./examples/dse_explore [evaluations]
 #include <cstdio>
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
               layer.name.c_str(), layer.in_c, layer.in_h, layer.in_w, layer.out_c, layer.kernel,
               evaluations);
 
-  dse::DseOptions opts;
+  dse::BayesOptions opts;
   opts.evaluations = evaluations;
   const auto points = flash_acc.explore_layer(layer, opts);
   const auto front = dse::pareto_front(points);

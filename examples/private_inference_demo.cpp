@@ -4,6 +4,7 @@
 // The private predictions must match the cleartext network exactly.
 //
 //   $ ./examples/private_inference_demo [samples]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,21 +25,27 @@ int main(int argc, char** argv) {
   core::FlashAccelerator acc(params, options);
 
   // A 3-block quantized CNN: 3 -> 8 channels at 8x8, W4A4.
+  constexpr std::size_t kBlocks = 3;
   std::mt19937_64 rng(2025);
-  const tensor::SmallQuantNet net = tensor::SmallQuantNet::random(3, 8, 3, 10, 8, 4, 4, rng);
-  const tensor::ConvFn reference = tensor::reference_conv();
-  tensor::ConvFn private_conv = acc.hconv_executor();
+  const tensor::LayerStack net = tensor::LayerStack::small_resnet(3, 8, kBlocks, 10, 8, 4, 4, rng);
+  const tensor::LayerStack::ConvExec reference = tensor::LayerStack::reference_executor();
+  const tensor::LayerStack::ConvExec private_conv = acc.hconv_executor();
+  const auto predict = [&](const tensor::Tensor3& x, const tensor::LayerStack::ConvExec& conv) {
+    const std::vector<tensor::i64> logits = net.forward(x, conv).logits;
+    return static_cast<std::size_t>(std::max_element(logits.begin(), logits.end()) -
+                                    logits.begin());
+  };
 
-  std::printf("private CNN inference: stem + %zu residual blocks, %d convolutions per sample\n",
-              net.blocks.size(), 1 + 2 * static_cast<int>(net.blocks.size()));
+  std::printf("private CNN inference: stem + %zu residual blocks, %zu convolutions per sample\n",
+              kBlocks, 1 + 2 * kBlocks);
 
   int agreements = 0;
   double total_s = 0.0;
   for (int s = 0; s < samples; ++s) {
     const tensor::Tensor3 x = tensor::random_activations(3, 8, 8, 4, rng);
-    const std::size_t expected = net.predict(x, reference);
+    const std::size_t expected = predict(x, reference);
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t got = net.predict(x, private_conv);
+    const std::size_t got = predict(x, private_conv);
     const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     total_s += secs;
     agreements += got == expected;

@@ -44,9 +44,11 @@
 // witness    = the expected peak achieved by the all-(t/2) activation, which
 //              maximizes the share-wrap variance (P(wrap) = 1/2 per slot).
 //
-// Sparse/merged weight transforms and the batched SoA paths are covered by
-// the same certificate: the cross-level differential tiers (ARCHITECTURE.md
-// §11) pin them bit-identical to the scalar paths the model describes.
+// The model describes the transforms the served path runs: on kApproxFft
+// the weight transform is the single dense FxpNegacyclicTransform::
+// forward_into (bfv/polymul_engine.cpp). The sparse executors never run on
+// the served path, and nothing served calls the batched FXP entry points,
+// so neither is covered by a certificate.
 #pragma once
 
 #include <optional>

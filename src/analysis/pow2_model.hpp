@@ -15,9 +15,10 @@
 // of required_bits = ceil(log2(bound)) + 1 (sign bit), the product is
 // wrap-free iff required_bits <= k.
 //
-// This is the obligation the dse BackendExplorer discharges before admitting
-// a pow2 design point, the same way SafetyCache discharges the interval
-// analyzer's no-overflow obligation for approximate-FFT points.
+// It is the kPow2 analogue of the interval analyzer's no-overflow proof
+// for approximate-FFT points (dse::SafetyCache). The design-space search
+// covers the approximate FFT only, and the pipeline certifier has no kPow2
+// noise model, so today only the tests discharge this obligation.
 #pragma once
 
 #include <cstddef>

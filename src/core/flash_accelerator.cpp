@@ -85,38 +85,39 @@ NetworkEstimate FlashAccelerator::estimate_network(
   return est;
 }
 
-protocol::HConvResult FlashAccelerator::run_hconv(const tensor::Tensor3& x,
-                                                  const tensor::Tensor4& weights) {
+protocol::HConvProtocol& FlashAccelerator::hconv_protocol() {
   if (!proto_) {
     std::optional<fft::FxpFftConfig> cfg;
     if (options_.backend == bfv::PolyMulBackend::kApproxFft) cfg = approx_config_;
     proto_.emplace(ctx_, options_.backend, cfg, options_.seed);
   }
-  return proto_->run(x, weights);
+  return *proto_;
 }
 
-tensor::ConvFn FlashAccelerator::hconv_executor() {
-  return [this](const tensor::Tensor3& x, const tensor::Tensor4& w) {
-    if (!proto_) {
-      std::optional<fft::FxpFftConfig> cfg;
-      if (options_.backend == bfv::PolyMulBackend::kApproxFft) cfg = approx_config_;
-      proto_.emplace(ctx_, options_.backend, cfg, options_.seed);
-    }
-    // ConvRunner handles 'same' padding, stride phases and spatial tiling.
-    protocol::ConvRunner runner(*proto_);
-    return runner.run(x, w, 1, w.kernel_h() / 2).reconstruct(ctx_.params().t);
+protocol::HConvResult FlashAccelerator::run_hconv(const tensor::Tensor3& x,
+                                                  const tensor::Tensor4& weights) {
+  return hconv_protocol().run(x, weights);
+}
+
+tensor::LayerStack::ConvExec FlashAccelerator::hconv_executor() {
+  return [this](const tensor::Tensor3& x, const tensor::Tensor4& w, std::size_t stride,
+                std::size_t pad) {
+    // ConvRunner handles padding, stride phases and spatial tiling.
+    protocol::ConvRunner runner(hconv_protocol());
+    return runner.run(x, w, stride, pad).reconstruct(ctx_.params().t);
   };
 }
 
 std::vector<dse::EvaluatedPoint> FlashAccelerator::explore_layer(
-    const tensor::LayerConfig& layer, const dse::DseOptions& options) const {
+    const tensor::LayerConfig& layer, const dse::BayesOptions& options) const {
   const auto& p = ctx_.params();
   const encoding::LayerTiling tiling = encoding::plan_layer(layer, p.n);
   const dse::SpaceBounds bounds;
   dse::DesignSpace space(p.n / 2, bounds);
   dse::ErrorModel error = dse::ErrorModel::from_weight_stats(p.n, tiling.weight_nnz, 8.0);
   dse::CostModel cost(p.n / 2, bounds);
-  dse::DseExplorer explorer(std::move(space), std::move(error), std::move(cost), options_.seed);
+  dse::BayesianExplorer explorer(std::move(space), std::move(error), std::move(cost),
+                                 options_.seed);
   return explorer.explore(options);
 }
 
@@ -124,12 +125,12 @@ FlashAccelerator::TunedConfig FlashAccelerator::tune_layer(const tensor::LayerCo
                                                            double tolerable_output_error,
                                                            double activation_rms,
                                                            std::size_t evaluations) const {
-  dse::DseOptions options;
+  dse::BayesOptions options;
   options.evaluations = evaluations;
   const auto points = explore_layer(layer, options);
   TunedConfig tuned;
   tuned.threshold = dse::spectrum_error_threshold(tolerable_output_error, activation_rms);
-  tuned.point = dse::DseExplorer::best_under_threshold(points, tuned.threshold);
+  tuned.point = dse::best_under_threshold(points, tuned.threshold);
   dse::DesignSpace space(ctx_.params().n / 2, dse::SpaceBounds{});
   tuned.config = space.to_config(tuned.point.point, 8.0);
   return tuned;

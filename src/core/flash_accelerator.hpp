@@ -7,7 +7,8 @@
 //              latency/energy on FLASH and on the baselines;
 //   * run    — execute the full hybrid HE/2PC HConv functionally, with the
 //              server's PolyMul on the approximate+sparse FFT datapath;
-//   * tune   — run the DSE to pick per-stage bit-widths for the layer.
+//   * tune   — run the Bayesian DSE to pick per-stage bit-widths for the
+//              layer.
 #pragma once
 
 #include <optional>
@@ -15,7 +16,7 @@
 #include "accel/baselines.hpp"
 #include "accel/workload.hpp"
 #include "bfv/evaluator.hpp"
-#include "dse/optimizer.hpp"
+#include "dse/bayesopt.hpp"
 #include "encoding/tiling.hpp"
 #include "protocol/hconv_protocol.hpp"
 #include "sparsefft/executor.hpp"
@@ -78,15 +79,15 @@ class FlashAccelerator {
   /// Input must be pre-padded; stride 1.
   protocol::HConvResult run_hconv(const tensor::Tensor3& x, const tensor::Tensor4& weights);
 
-  /// A stride-1 'same' convolution executor that routes every convolution
-  /// through the HE/2PC protocol — plug into tensor::SmallQuantNet to run a
-  /// whole network privately.
-  tensor::ConvFn hconv_executor();
+  /// A convolution executor (any stride and padding) that routes every
+  /// convolution through the HE/2PC protocol — pass it to
+  /// tensor::LayerStack::forward to run a whole network privately.
+  tensor::LayerStack::ConvExec hconv_executor();
 
-  /// Run the design-space exploration for a layer's weight statistics and
-  /// return all evaluated points (Fig. 11(b)(c)).
+  /// Run the Bayesian design-space exploration for a layer's weight
+  /// statistics and return all evaluated points (Fig. 11(b)(c)).
   std::vector<dse::EvaluatedPoint> explore_layer(const tensor::LayerConfig& layer,
-                                                 const dse::DseOptions& options) const;
+                                                 const dse::BayesOptions& options) const;
 
   /// Full per-layer tuning (paper Fig. 10): explore the space and return the
   /// cheapest design point whose predicted error variance stays below the
@@ -103,6 +104,8 @@ class FlashAccelerator {
                          double activation_rms, std::size_t evaluations = 400) const;
 
  private:
+  protocol::HConvProtocol& hconv_protocol();  // built on first use
+
   bfv::BfvContext ctx_;
   FlashOptions options_;
   fft::FxpFftConfig approx_config_;

@@ -79,6 +79,36 @@ GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& 
   return out;
 }
 
+namespace {
+
+EvaluatedPoint evaluate_point(const DesignSpace& space, const ErrorModel& error_model,
+                              const CostModel& cost_model, const DesignPoint& p) {
+  return {p, error_model.predict_variance(space, p), cost_model.normalized_power(p)};
+}
+
+// Only points the interval analyzer proves overflow-free (and, with a
+// pipeline obligation, certified for correct decryption) are evaluated;
+// unprovable draws are resampled so the evaluation budget stays exact.
+void require_provable_corner(const DesignSpace& space, SafetyCache& safety) {
+  if (!safety.proven_safe(space.full_precision())) {
+    throw std::runtime_error(
+        "dse: even the full-precision corner cannot be proven overflow-free for this input "
+        "bound");
+  }
+}
+
+/// A uniform draw the cache admits; the corner after kMaxDraws misses.
+DesignPoint safe_random(const DesignSpace& space, SafetyCache& safety, std::mt19937_64& rng) {
+  constexpr int kMaxDraws = 64;
+  for (int draw = 0; draw < kMaxDraws; ++draw) {
+    DesignPoint p = space.random(rng);
+    if (safety.proven_safe(p)) return p;
+  }
+  return space.full_precision();
+}
+
+}  // namespace
+
 BayesianExplorer::BayesianExplorer(DesignSpace space, ErrorModel error_model, CostModel cost_model,
                                    std::uint64_t seed)
     : space_(std::move(space)), error_model_(std::move(error_model)),
@@ -100,35 +130,16 @@ std::vector<EvaluatedPoint> BayesianExplorer::explore(const BayesOptions& option
   all.reserve(options.evaluations);
 
   auto evaluate = [&](const DesignPoint& p) {
-    EvaluatedPoint e;
-    e.point = p;
-    e.error_variance = error_model_.predict_variance(space_, p);
-    e.normalized_power = cost_model_.normalized_power(p);
-    all.push_back(e);
-    return e;
+    all.push_back(evaluate_point(space_, error_model_, cost_model_, p));
   };
-
-  // Same admission rule as the evolutionary explorer: only points the
-  // interval analyzer proves overflow-free (and, with options.pipeline,
-  // certified for correct decryption) are evaluated; unprovable draws are
-  // resampled so the evaluation budget stays exact.
   SafetyCache safety(space_, error_model_, options.pipeline);
-  if (!safety.proven_safe(space_.full_precision())) {
-    throw std::runtime_error(
-        "BayesianExplorer::explore: even the full-precision corner cannot be proven "
-        "overflow-free for this input bound");
-  }
-  constexpr int kMaxDraws = 64;
-  auto safe_random = [&]() {
-    for (int draw = 0; draw < kMaxDraws; ++draw) {
-      DesignPoint p = space_.random(rng_);
-      if (safety.proven_safe(p)) return p;
-    }
-    return space_.full_precision();
-  };
+  require_provable_corner(space_, safety);
 
-  for (std::size_t i = 0; i < options.initial_random && all.size() < options.evaluations; ++i) {
-    evaluate(safe_random());
+  // Initial design: the full-precision corner first — so every threshold it
+  // meets has a feasible point — then random admissible draws.
+  if (options.evaluations > 0) evaluate(space_.full_precision());
+  for (std::size_t i = 1; i < options.initial_random && all.size() < options.evaluations; ++i) {
+    evaluate(safe_random(space_, safety, rng_));
   }
 
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -166,31 +177,54 @@ std::vector<EvaluatedPoint> BayesianExplorer::explore(const BayesOptions& option
     gp.fit(std::move(xs), std::move(ys));
 
     // Candidate pool: random + mutations of the current non-dominated set.
-    // Safety is checked lazily — only when a candidate would become the EI
-    // incumbent — so the analyzer runs O(log pool) times per iteration.
+    // Every candidate is scored first; admission is then checked in
+    // descending EI order (earliest first on ties), so the analyzer runs
+    // only until the first admissible candidate.
     const auto front = pareto_front(all);
-    DesignPoint best_candidate = safe_random();
-    double best_ei = -1.0;
+    std::vector<DesignPoint> pool;
+    std::vector<std::pair<double, std::size_t>> ranked;  // (EI, pool index)
+    pool.reserve(options.candidate_pool);
     for (std::size_t c = 0; c < options.candidate_pool; ++c) {
-      DesignPoint cand;
       if (!front.empty() && (c & 1)) {
-        cand = space_.mutate(front[rng_() % front.size()].point, rng_);
+        pool.push_back(space_.mutate(front[rng_() % front.size()].point, rng_));
       } else {
-        cand = space_.random(rng_);
+        pool.push_back(space_.random(rng_));
       }
-      const auto pred = gp.predict(normalize(cand));
+      const auto pred = gp.predict(normalize(pool.back()));
       const double sigma = std::sqrt(pred.variance);
       // Expected improvement over the incumbent scalarized best.
       const double z = (best_y - pred.mean) / sigma;
       const double phi = std::exp(-0.5 * z * z) / std::sqrt(2.0 * 3.14159265358979);
       const double cdf = 0.5 * std::erfc(-z / std::sqrt(2.0));
       const double ei = (best_y - pred.mean) * cdf + sigma * phi;
-      if (ei > best_ei && safety.proven_safe(cand)) {
-        best_ei = ei;
-        best_candidate = cand;
+      if (ei > -1.0) ranked.emplace_back(ei, c);  // also drops NaN
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) { return a.first > b.first; });
+    const DesignPoint* pick = nullptr;
+    for (const auto& [ei, c] : ranked) {
+      if (safety.proven_safe(pool[c])) {
+        pick = &pool[c];
+        break;
       }
     }
-    evaluate(best_candidate);
+    // A random admissible draw only when no candidate is admissible.
+    evaluate(pick != nullptr ? *pick : safe_random(space_, safety, rng_));
+  }
+  return all;
+}
+
+std::vector<EvaluatedPoint> safe_random_search(const DesignSpace& space,
+                                               const ErrorModel& error_model,
+                                               const CostModel& cost_model,
+                                               std::size_t evaluations, std::mt19937_64& rng) {
+  SafetyCache safety(space, error_model);
+  require_provable_corner(space, safety);
+  std::vector<EvaluatedPoint> all;
+  all.reserve(evaluations);
+  for (std::size_t i = 0; i < evaluations; ++i) {
+    const DesignPoint p = i == 0 ? space.full_precision() : safe_random(space, safety, rng);
+    all.push_back(evaluate_point(space, error_model, cost_model, p));
   }
   return all;
 }

@@ -1,4 +1,5 @@
-// Bayesian optimization for the approximate-FFT design space.
+// Bayesian optimization for the approximate-FFT design space — the
+// project's one design-space search.
 //
 // The paper "leverage[s] Bayesian optimization algorithms to solve the
 // optimization problem iteratively" (Fig. 10). This is a faithful
@@ -8,12 +9,16 @@
 // power), and expected-improvement acquisition maximized over a candidate
 // pool of random points and mutations of the incumbent front.
 //
-// The evolutionary explorer (optimizer.hpp) remains the fast default; this
-// module exists to reproduce the paper's search procedure and to compare
-// sample efficiency (bench_fig11bc_dse).
+// Admission is proof-gated (dse/safety.hpp): only points the interval
+// analyzer proves overflow-free (and, with BayesOptions::pipeline, certified
+// for correct decryption) are evaluated. The full-precision corner is the
+// first point evaluated, so every threshold the corner meets has a feasible
+// point.
 #pragma once
 
+#include "dse/cost_model.hpp"
 #include "dse/optimizer.hpp"
+#include "dse/safety.hpp"
 
 namespace flash::dse {
 
@@ -47,11 +52,13 @@ class GaussianProcess {
 
 struct BayesOptions {
   std::size_t evaluations = 200;
-  std::size_t initial_random = 24;
+  std::size_t initial_random = 24;     // initial design, full-precision corner first
   std::size_t candidate_pool = 160;
   std::size_t max_train_points = 128;  // subsample the GP's training set
   double error_floor = 1e-18;          // clamps log(error) targets
-  /// Same end-to-end admission requirement as DseOptions::pipeline.
+  /// Optional end-to-end admission requirement: only design points whose
+  /// pipeline certificate proves correct decryption on this workload are
+  /// evaluated. nullopt = overflow obligation only.
   std::optional<PipelineObligation> pipeline;
 };
 
@@ -71,5 +78,13 @@ class BayesianExplorer {
   CostModel cost_model_;
   std::mt19937_64 rng_;
 };
+
+/// The baseline BayesianExplorer is measured against: uniform random search
+/// under the same admission rule and budget — the full-precision corner,
+/// then uniform draws the SafetyCache admits (overflow obligation only).
+std::vector<EvaluatedPoint> safe_random_search(const DesignSpace& space,
+                                               const ErrorModel& error_model,
+                                               const CostModel& cost_model,
+                                               std::size_t evaluations, std::mt19937_64& rng);
 
 }  // namespace flash::dse

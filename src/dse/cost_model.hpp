@@ -30,11 +30,6 @@ class CostModel {
   /// LUT lookup: per-butterfly energy (pJ) for one (width, k) cell.
   double bu_energy_pj(int width, int k) const;
 
-  /// Denominator of normalized_power: energy of one full-precision FP
-  /// transform (pJ). Exposed so other backend arms (dse/backend_axis.hpp)
-  /// can report power on the same normalized axis.
-  double fp_reference_pj() const { return fp_reference_pj_; }
-
  private:
   std::size_t m_;
   SpaceBounds bounds_;

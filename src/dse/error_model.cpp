@@ -1,7 +1,7 @@
 #include "dse/error_model.hpp"
 
 #include <cmath>
-#include <limits>
+#include <stdexcept>
 
 #include "fft/negacyclic.hpp"
 
@@ -59,12 +59,6 @@ double spectrum_error_threshold(double tolerable_output_error, double activation
   }
   const double ratio = tolerable_output_error / activation_rms;
   return ratio * ratio;
-}
-
-double ErrorModel::predict_variance_pow2(const analysis::Pow2Obligation& ob, int k) {
-  return analysis::analyze_pow2_polymul(ob, k).wrap_free
-             ? 0.0
-             : std::numeric_limits<double>::infinity();
 }
 
 double measured_error_variance(std::size_t n, const fft::FxpFftConfig& config, std::size_t nnz,

@@ -15,7 +15,6 @@
 
 #include <random>
 
-#include "analysis/pow2_model.hpp"
 #include "dse/space.hpp"
 
 namespace flash::dse {
@@ -33,12 +32,6 @@ class ErrorModel {
 
   /// Predicted per-element error variance of the output spectrum.
   double predict_variance(const DesignSpace& space, const DesignPoint& p) const;
-
-  /// Error budget of the kPow2 backend arm at ring width k: exactly 0 when
-  /// the wrap-freedom obligation holds (Z_{2^k} Karatsuba is bit-exact), and
-  /// +infinity otherwise — wraparound aliases mod 2^k with no graceful
-  /// degradation, so an unprovable width is unusable at any threshold.
-  static double predict_variance_pow2(const analysis::Pow2Obligation& ob, int k);
 
   double input_power() const { return input_power_; }
   double input_max_abs() const { return input_max_abs_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "dse/safety.hpp"
-
 namespace flash::dse {
 
 bool dominates(const EvaluatedPoint& a, const EvaluatedPoint& b) {
@@ -39,95 +37,8 @@ std::vector<EvaluatedPoint> pareto_front(std::vector<EvaluatedPoint> points) {
   return front;
 }
 
-DseExplorer::DseExplorer(DesignSpace space, ErrorModel error_model, CostModel cost_model,
-                         std::uint64_t seed)
-    : space_(std::move(space)), error_model_(std::move(error_model)),
-      cost_model_(std::move(cost_model)), rng_(seed) {}
-
-EvaluatedPoint DseExplorer::evaluate(const DesignPoint& p) const {
-  EvaluatedPoint e;
-  e.point = p;
-  e.error_variance = error_model_.predict_variance(space_, p);
-  e.normalized_power = cost_model_.normalized_power(p);
-  return e;
-}
-
-std::vector<EvaluatedPoint> DseExplorer::explore(const DseOptions& options) {
-  std::vector<EvaluatedPoint> all;
-  all.reserve(options.evaluations);
-  std::vector<EvaluatedPoint> archive;  // current non-dominated set
-
-  auto admit = [&](const EvaluatedPoint& e) {
-    all.push_back(e);
-    for (const auto& q : archive) {
-      if (dominates(q, e)) return;
-    }
-    archive.erase(std::remove_if(archive.begin(), archive.end(),
-                                 [&](const EvaluatedPoint& q) { return dominates(e, q); }),
-                  archive.end());
-    archive.push_back(e);
-  };
-
-  // Every admitted candidate must first be *proven* overflow-free by the
-  // interval analyzer — and, when options.pipeline is set, certified for
-  // correct decryption end-to-end; unprovable draws are resampled (never
-  // silently filtered, so the evaluation budget stays exact). The
-  // full-precision corner is the provably-safe fallback when sampling runs
-  // dry.
-  SafetyCache safety(space_, error_model_, options.pipeline);
-  if (!safety.proven_safe(space_.full_precision())) {
-    throw std::runtime_error(
-        "DseExplorer::explore: even the full-precision corner cannot be proven "
-        "overflow-free for this input bound");
-  }
-  constexpr int kMaxDraws = 64;
-
-  // Seed with random points (plus the full-precision corner as an anchor).
-  admit(evaluate(space_.full_precision()));
-  for (std::size_t i = 0; i < options.population && all.size() < options.evaluations; ++i) {
-    DesignPoint p = space_.full_precision();
-    for (int draw = 0; draw < kMaxDraws; ++draw) {
-      DesignPoint q = space_.random(rng_);
-      if (safety.proven_safe(q)) {
-        p = std::move(q);
-        break;
-      }
-    }
-    admit(evaluate(p));
-  }
-
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  while (all.size() < options.evaluations) {
-    DesignPoint candidate = space_.full_precision();
-    for (int draw = 0; draw < kMaxDraws; ++draw) {
-      const auto& a = archive[rng_() % archive.size()].point;
-      DesignPoint q;
-      if (archive.size() > 1 && unit(rng_) < options.crossover_rate) {
-        const auto& b = archive[rng_() % archive.size()].point;
-        q = space_.mutate(space_.crossover(a, b, rng_), rng_);
-      } else {
-        q = space_.mutate(a, rng_);
-      }
-      if (safety.proven_safe(q)) {
-        candidate = std::move(q);
-        break;
-      }
-    }
-    admit(evaluate(candidate));
-  }
-
-  if (options.error_threshold > 0.0) {
-    all.erase(std::remove_if(all.begin(), all.end(),
-                             [&](const EvaluatedPoint& e) {
-                               return e.error_variance > options.error_threshold;
-                             }),
-              all.end());
-  }
-  return all;
-}
-
-EvaluatedPoint DseExplorer::best_under_threshold(const std::vector<EvaluatedPoint>& points,
-                                                 double error_threshold) {
+EvaluatedPoint best_under_threshold(const std::vector<EvaluatedPoint>& points,
+                                    double error_threshold) {
   const EvaluatedPoint* best = nullptr;
   for (const auto& p : points) {
     if (p.error_variance <= error_threshold &&

@@ -1,16 +1,13 @@
-// Multi-objective exploration of the approximate-FFT space.
-//
-// The paper uses Bayesian optimization; we substitute an elitist
-// evolutionary Pareto search (random restarts + mutation + crossover over a
-// non-dominated archive). Both are derivative-free sample-efficient
-// optimizers over the same objectives — error variance (analytical model)
-// vs. power (LUT model) — and the deliverable is the same: a Pareto front of
-// ~1000 evaluated design points per layer (Fig. 11(b)(c)). See DESIGN.md.
+// Multi-objective bookkeeping for the approximate-FFT design space: an
+// evaluated point carries both objectives — error variance (analytical
+// model) and power (LUT model) — and the deliverable of a search
+// (dse/bayesopt.hpp) is the scatter of ~1000 evaluated points per layer and
+// its Pareto front (Fig. 11(b)(c)).
 #pragma once
 
-#include "dse/cost_model.hpp"
-#include "dse/error_model.hpp"
-#include "dse/safety.hpp"
+#include <vector>
+
+#include "dse/space.hpp"
 
 namespace flash::dse {
 
@@ -26,39 +23,9 @@ bool dominates(const EvaluatedPoint& a, const EvaluatedPoint& b);
 /// Extract the non-dominated subset, sorted by power.
 std::vector<EvaluatedPoint> pareto_front(std::vector<EvaluatedPoint> points);
 
-struct DseOptions {
-  std::size_t evaluations = 1000;
-  std::size_t population = 32;
-  double crossover_rate = 0.4;
-  /// Optional constraint: discard points with error variance above this
-  /// threshold (the paper's T_err); 0 disables.
-  double error_threshold = 0.0;
-  /// Optional end-to-end admission requirement: only design points whose
-  /// pipeline certificate proves correct decryption on this workload enter
-  /// the archive (dse/safety.hpp). nullopt = overflow obligation only.
-  std::optional<PipelineObligation> pipeline;
-};
-
-class DseExplorer {
- public:
-  DseExplorer(DesignSpace space, ErrorModel error_model, CostModel cost_model, std::uint64_t seed);
-
-  /// Run the search; returns every evaluated point (the scatter of
-  /// Fig. 11(b)(c)).
-  std::vector<EvaluatedPoint> explore(const DseOptions& options);
-
-  EvaluatedPoint evaluate(const DesignPoint& p) const;
-
-  /// Cheapest point meeting the error threshold (the paper's argmin power
-  /// s.t. err <= T_err); throws if none found.
-  static EvaluatedPoint best_under_threshold(const std::vector<EvaluatedPoint>& points,
-                                             double error_threshold);
-
- private:
-  DesignSpace space_;
-  ErrorModel error_model_;
-  CostModel cost_model_;
-  std::mt19937_64 rng_;
-};
+/// Cheapest point meeting the error threshold (the paper's argmin power
+/// s.t. err <= T_err); throws std::runtime_error if none qualifies.
+EvaluatedPoint best_under_threshold(const std::vector<EvaluatedPoint>& points,
+                                    double error_threshold);
 
 }  // namespace flash::dse

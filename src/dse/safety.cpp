@@ -53,15 +53,4 @@ bool SafetyCache::proven_safe(const DesignPoint& point) {
   return safe;
 }
 
-bool SafetyCache::proven_wrap_free(int k) {
-  if (!pow2_obligation_.has_value()) {
-    throw std::logic_error("SafetyCache::proven_wrap_free: no Pow2Obligation attached");
-  }
-  const auto it = pow2_verdicts_.find(k);
-  if (it != pow2_verdicts_.end()) return it->second;
-  const bool safe = analysis::analyze_pow2_polymul(*pow2_obligation_, k).wrap_free;
-  pow2_verdicts_.emplace(k, safe);
-  return safe;
-}
-
 }  // namespace flash::dse

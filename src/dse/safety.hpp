@@ -25,7 +25,6 @@
 
 #include "analysis/fxp_analyzer.hpp"
 #include "analysis/pipeline_certifier.hpp"
-#include "analysis/pow2_model.hpp"
 #include "dse/error_model.hpp"
 #include "dse/space.hpp"
 
@@ -60,37 +59,25 @@ analysis::PipelineCertificate certify_design_point(const DesignSpace& space,
                                                    const PipelineObligation& obligation,
                                                    const DesignPoint& point);
 
-/// Memoizing wrapper for search loops: mutation/crossover revisit points, and
+/// Memoizing wrapper for search loops: mutations revisit points, and
 /// the analysis (twiddle-table construction + interval sweep, plus the
 /// pipeline certificate when an obligation is attached) is worth caching
 /// across the few hundred evaluations of one explore() call.
 class SafetyCache {
  public:
   SafetyCache(const DesignSpace& space, const ErrorModel& model,
-              std::optional<PipelineObligation> obligation = std::nullopt,
-              std::optional<analysis::Pow2Obligation> pow2_obligation = std::nullopt)
-      : space_(space), model_(model), obligation_(std::move(obligation)),
-        pow2_obligation_(pow2_obligation) {}
+              std::optional<PipelineObligation> obligation = std::nullopt)
+      : space_(space), model_(model), obligation_(std::move(obligation)) {}
 
   /// Overflow-free AND (when an obligation is attached) certified
   /// proven-correct-decryption.
   bool proven_safe(const DesignPoint& point);
 
-  /// Admission proof for the kPow2 backend arm: the wrap-freedom obligation
-  /// (analysis/pow2_model.hpp) holds at ring width k. The obligation is
-  /// exact-or-broken — there is no error budget to spend mod 2^k — so this
-  /// is the *whole* proof, the Z_{2^k} analogue of the interval analyzer's
-  /// no-saturation verdict. Throws std::logic_error when the cache was built
-  /// without a Pow2Obligation.
-  bool proven_wrap_free(int k);
-
  private:
   const DesignSpace& space_;
   const ErrorModel& model_;
   std::optional<PipelineObligation> obligation_;
-  std::optional<analysis::Pow2Obligation> pow2_obligation_;
   std::map<std::pair<std::vector<int>, int>, bool> verdicts_;
-  std::map<int, bool> pow2_verdicts_;
 };
 
 }  // namespace flash::dse

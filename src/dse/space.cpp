@@ -47,16 +47,6 @@ DesignPoint DesignSpace::mutate(const DesignPoint& p, std::mt19937_64& rng) cons
   return out;
 }
 
-DesignPoint DesignSpace::crossover(const DesignPoint& a, const DesignPoint& b,
-                                   std::mt19937_64& rng) const {
-  DesignPoint out = a;
-  for (std::size_t i = 0; i < out.stage_widths.size(); ++i) {
-    if (rng() & 1) out.stage_widths[i] = b.stage_widths[i];
-  }
-  if (rng() & 1) out.twiddle_k = b.twiddle_k;
-  return out;
-}
-
 DesignPoint DesignSpace::full_precision() const {
   DesignPoint p;
   p.stage_widths.assign(static_cast<std::size_t>(stages_), bounds_.max_width);

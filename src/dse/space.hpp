@@ -39,8 +39,6 @@ class DesignSpace {
   DesignPoint random(std::mt19937_64& rng) const;
   /// Perturb one or two coordinates by +/- a few bits.
   DesignPoint mutate(const DesignPoint& p, std::mt19937_64& rng) const;
-  /// Per-coordinate uniform crossover.
-  DesignPoint crossover(const DesignPoint& a, const DesignPoint& b, std::mt19937_64& rng) const;
 
   /// The most expensive (most accurate) corner: all widths = max, k = max.
   DesignPoint full_precision() const;

@@ -22,17 +22,6 @@ Poly Sampler::ternary_poly(u64 q, std::size_t n) {
   return p;
 }
 
-Poly Sampler::cbd_poly(u64 q, std::size_t n, int eta) {
-  Poly p(q, n);
-  std::uniform_int_distribution<int> bit(0, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    int s = 0;
-    for (int j = 0; j < eta; ++j) s += bit(rng_) - bit(rng_);
-    p[i] = from_signed(s, q);
-  }
-  return p;
-}
-
 Poly Sampler::gaussian_poly(u64 q, std::size_t n, double sigma) {
   Poly p(q, n);
   std::normal_distribution<double> dist(0.0, sigma);

@@ -48,10 +48,6 @@ class Sampler {
   /// Ternary polynomial with coefficients in {-1, 0, 1} mod q (BFV secret key).
   Poly ternary_poly(u64 q, std::size_t n);
 
-  /// Centered binomial error with parameter eta (variance eta/2); the standard
-  /// RLWE error substitute for a discrete Gaussian with sigma ~ sqrt(eta/2).
-  Poly cbd_poly(u64 q, std::size_t n, int eta);
-
   /// Rounded continuous Gaussian with standard deviation sigma.
   Poly gaussian_poly(u64 q, std::size_t n, double sigma);
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "hemath/bitrev.hpp"
-#include "sparsefft/merged_kernels.hpp"
 
 namespace flash::sparsefft {
 
@@ -106,32 +105,8 @@ std::vector<cplx> execute_merged(const SparseFftPlan& plan, const std::vector<cp
 
   std::vector<cplx> init = input;
   hemath::bit_reverse_permute(init);
-
-  // Lazy-value state in SoA form so the dense final materialization can run
-  // on the vector kernel (merged_kernels.hpp). The sparse op loop still
-  // thinks in whole LazyValues through these load/store shims — it touches
-  // few lanes per stage and is not worth vectorizing.
-  std::vector<double> base_re(m), base_im(m);
-  std::vector<double> tw_re(m, 1.0), tw_im(m, 0.0);
-  std::vector<std::uint64_t> quadrant(m, 0), lazy_flag(m, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    base_re[i] = init[i].real();
-    base_im[i] = init[i].imag();
-  }
-  auto load = [&](std::size_t i) {
-    return LazyValue{{base_re[i], base_im[i]},
-                     {tw_re[i], tw_im[i]},
-                     static_cast<int>(quadrant[i]),
-                     lazy_flag[i] != 0};
-  };
-  auto store = [&](std::size_t i, const LazyValue& val) {
-    base_re[i] = val.base.real();
-    base_im[i] = val.base.imag();
-    tw_re[i] = val.twiddle.real();
-    tw_im[i] = val.twiddle.imag();
-    quadrant[i] = static_cast<std::uint64_t>(val.quadrant) & 3;
-    lazy_flag[i] = val.lazy ? 1 : 0;
-  };
+  std::vector<LazyValue> lanes(m);
+  for (std::size_t i = 0; i < m; ++i) lanes[i].base = init[i];
 
   std::uint64_t mults = 0;
   for (int s = 0; s < plan.stages(); ++s) {
@@ -140,49 +115,44 @@ std::vector<cplx> execute_merged(const SparseFftPlan& plan, const std::vector<cp
       switch (op.kind) {
         case OpKind::kFull: {
           // Materialize u; fold this stage's twiddle into v, then materialize.
-          const cplx uv = load(op.u).materialize(mults);
-          cplx tv;
+          const cplx uv = lanes[op.u].materialize(mults);
+          LazyValue vv = lanes[op.v];
           if (trivial) {
             // W in {1, i}: exact quadrant rotation, no multiplication.
-            LazyValue vv = load(op.v);
             if (op.twiddle_index != 0) vv.quadrant += 1;
-            tv = vv.materialize(mults);
           } else {
-            LazyValue vv = load(op.v);
             vv.twiddle *= std::polar(1.0, base_angle * static_cast<double>(op.twiddle_index));
             vv.lazy = true;
-            tv = vv.materialize(mults);
           }
-          store(op.u, LazyValue{uv + tv, {1.0, 0.0}, 0, false});
-          store(op.v, LazyValue{uv - tv, {1.0, 0.0}, 0, false});
+          const cplx tv = vv.materialize(mults);
+          lanes[op.u] = LazyValue{uv + tv};
+          lanes[op.v] = LazyValue{uv - tv};
           break;
         }
         case OpKind::kMulOnly: {
           // Outputs (+Wv, -Wv): defer the twiddle, sign flips are free.
-          LazyValue next = load(op.v);
+          LazyValue next = lanes[op.v];
           if (trivial) {
             if (op.twiddle_index != 0) next.quadrant += 1;
           } else {
             next.twiddle *= std::polar(1.0, base_angle * static_cast<double>(op.twiddle_index));
             next.lazy = true;
           }
-          store(op.u, next);
+          lanes[op.u] = next;
           next.quadrant += 2;  // additive inverse
-          store(op.v, next);
+          lanes[op.v] = next;
           break;
         }
         case OpKind::kCopy:
-          store(op.v, load(op.u));
+          lanes[op.v] = lanes[op.u];
           break;
       }
     }
   }
 
-  // Dense settlement of every lane: vectorized (scalar/AVX2/AVX-512,
-  // bit-identical across levels).
+  // Every lane settles its pending rotation and twiddle.
   std::vector<cplx> out(m);
-  mults += detail::merged_materialize(base_re.data(), base_im.data(), tw_re.data(), tw_im.data(),
-                                      quadrant.data(), lazy_flag.data(), m, out.data());
+  for (std::size_t i = 0; i < m; ++i) out[i] = lanes[i].materialize(mults);
   if (mults_issued) *mults_issued = mults;
   return out;
 }

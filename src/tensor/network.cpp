@@ -5,12 +5,6 @@
 
 namespace flash::tensor {
 
-ConvFn reference_conv() {
-  return [](const Tensor3& x, const Tensor4& w) {
-    return conv2d(x, w, ConvSpec{1, w.kernel_h() / 2});
-  };
-}
-
 void apply_conv_postops(Tensor3& values, const NetLayer& layer) {
   if (layer.clamp_bits > 0) requantize(values.data(), layer.requant_shift, layer.clamp_bits);
   if (layer.relu) {
@@ -101,48 +95,6 @@ NetworkResult LayerStack::forward(const Tensor3& x, const ConvExec& conv,
   return result;
 }
 
-LayerStack LayerStack::from_quant_net(const SmallQuantNet& net) {
-  LayerStack stack;
-  NetLayer stem;
-  stem.weights = net.stem;
-  stem.pad = net.stem.kernel_h() / 2;
-  stem.requant_shift = net.stem_shift;
-  stem.clamp_bits = net.act_bits;
-  stem.relu = true;
-  stem.save_output = !net.blocks.empty();
-  stack.layers.push_back(std::move(stem));
-  for (std::size_t i = 0; i < net.blocks.size(); ++i) {
-    const QuantizedBlock& block = net.blocks[i];
-    NetLayer c1;
-    c1.weights = block.conv1;
-    c1.pad = block.conv1.kernel_h() / 2;
-    c1.requant_shift = block.requant_shift;
-    c1.clamp_bits = block.act_bits;
-    c1.relu = true;
-    stack.layers.push_back(std::move(c1));
-    NetLayer c2;
-    c2.weights = block.conv2;
-    c2.pad = block.conv2.kernel_h() / 2;
-    c2.requant_shift = block.requant_shift;
-    c2.clamp_bits = block.act_bits;
-    c2.relu = false;
-    stack.layers.push_back(std::move(c2));
-    NetLayer join;
-    join.kind = NetLayer::Kind::kResidualAdd;
-    join.source = i;  // stem saved slot 0, block i's join saved slot i+1
-    join.clamp_bits = block.act_bits;
-    join.relu = true;
-    join.save_output = i + 1 < net.blocks.size();
-    stack.layers.push_back(std::move(join));
-  }
-  NetLayer fc;
-  fc.kind = NetLayer::Kind::kFullyConnected;
-  fc.fc_weights = net.head.fc_weights;
-  fc.fc_out = net.head.classes;
-  stack.layers.push_back(std::move(fc));
-  return stack;
-}
-
 namespace {
 
 int shift_for(int a_bits, int w_bits, std::size_t taps) {
@@ -164,7 +116,53 @@ NetLayer quant_conv(Tensor4 weights, std::size_t stride, std::size_t pad, int sh
   return l;
 }
 
+/// A residual block at `channels`: 3x3 s1 conv + ReLU, 3x3 s1 conv, then the
+/// join with save-stack slot `source`.
+void push_block(LayerStack& stack, std::size_t channels, int w_bits, int a_bits,
+                std::size_t source, bool save_join, std::mt19937_64& rng) {
+  const int shift = shift_for(a_bits, w_bits, channels * 9);
+  stack.layers.push_back(quant_conv(random_weights(channels, channels, 3, w_bits, rng), 1, 1,
+                                    shift, a_bits, /*relu=*/true, /*save=*/false));
+  stack.layers.push_back(quant_conv(random_weights(channels, channels, 3, w_bits, rng), 1, 1,
+                                    shift, a_bits, /*relu=*/false, /*save=*/false));
+  NetLayer join;
+  join.kind = NetLayer::Kind::kResidualAdd;
+  join.source = source;
+  join.clamp_bits = a_bits;
+  join.relu = true;
+  join.save_output = save_join;
+  stack.layers.push_back(std::move(join));
+}
+
+/// Integer FC head over `features` flattened activations.
+NetLayer fc_head(std::size_t classes, std::size_t features, int w_bits, std::mt19937_64& rng) {
+  NetLayer fc;
+  fc.kind = NetLayer::Kind::kFullyConnected;
+  fc.fc_out = classes;
+  fc.fc_weights.resize(classes * features);
+  std::normal_distribution<double> dist(0.0, static_cast<double>(quant_max(w_bits)) / 2.5);
+  for (auto& v : fc.fc_weights) {
+    v = clamp_to_bits(static_cast<i64>(std::llround(dist(rng))), w_bits);
+  }
+  return fc;
+}
+
 }  // namespace
+
+LayerStack LayerStack::small_resnet(std::size_t in_c, std::size_t width, std::size_t depth,
+                                    std::size_t classes, std::size_t spatial, int w_bits,
+                                    int a_bits, std::mt19937_64& rng) {
+  LayerStack stack;
+  stack.layers.push_back(quant_conv(random_weights(width, in_c, 3, w_bits, rng), 1, 1,
+                                    shift_for(a_bits, w_bits, in_c * 9), a_bits,
+                                    /*relu=*/true, /*save=*/depth > 0));
+  // The stem saved slot 0; block i's join saves slot i + 1.
+  for (std::size_t i = 0; i < depth; ++i) {
+    push_block(stack, width, w_bits, a_bits, /*source=*/i, /*save_join=*/i + 1 < depth, rng);
+  }
+  stack.layers.push_back(fc_head(classes, width * spatial * spatial, w_bits, rng));
+  return stack;
+}
 
 LayerStack LayerStack::resnet18_like(std::size_t in_c, std::size_t width, std::size_t spatial,
                                      std::size_t classes, int w_bits, int a_bits,
@@ -172,20 +170,8 @@ LayerStack LayerStack::resnet18_like(std::size_t in_c, std::size_t width, std::s
   LayerStack stack;
   std::size_t save_slots = 0;
   const auto block = [&](std::size_t channels, bool save_join) {
-    const int shift = shift_for(a_bits, w_bits, channels * 9);
-    stack.layers.push_back(
-        quant_conv(random_weights(channels, channels, 3, w_bits, rng), 1, 1, shift, a_bits,
-                   /*relu=*/true, /*save=*/false));
-    stack.layers.push_back(
-        quant_conv(random_weights(channels, channels, 3, w_bits, rng), 1, 1, shift, a_bits,
-                   /*relu=*/false, /*save=*/false));
-    NetLayer join;
-    join.kind = NetLayer::Kind::kResidualAdd;
-    join.source = save_slots - 1;  // most recent saved activation
-    join.clamp_bits = a_bits;
-    join.relu = true;
-    join.save_output = save_join;
-    stack.layers.push_back(std::move(join));
+    // Joins the most recent saved activation.
+    push_block(stack, channels, w_bits, a_bits, save_slots - 1, save_join, rng);
     if (save_join) ++save_slots;
   };
 
@@ -209,48 +195,8 @@ LayerStack LayerStack::resnet18_like(std::size_t in_c, std::size_t width, std::s
 
   // FC head over the flattened stage-2 features.
   const std::size_t out_spatial = (spatial + 2 * 1 - 3) / 2 + 1;
-  const std::size_t features = 2 * width * out_spatial * out_spatial;
-  NetLayer fc;
-  fc.kind = NetLayer::Kind::kFullyConnected;
-  fc.fc_out = classes;
-  fc.fc_weights.resize(classes * features);
-  std::normal_distribution<double> dist(0.0, static_cast<double>(quant_max(w_bits)) / 2.5);
-  for (auto& v : fc.fc_weights) {
-    v = clamp_to_bits(static_cast<i64>(std::llround(dist(rng))), w_bits);
-  }
-  stack.layers.push_back(std::move(fc));
+  stack.layers.push_back(fc_head(classes, 2 * width * out_spatial * out_spatial, w_bits, rng));
   return stack;
-}
-
-SmallQuantNet SmallQuantNet::random(std::size_t in_c, std::size_t width, std::size_t depth,
-                                    std::size_t classes, std::size_t spatial, int w_bits,
-                                    int a_bits, std::mt19937_64& rng) {
-  SmallQuantNet net;
-  net.stem = random_weights(width, in_c, 3, w_bits, rng);
-  net.act_bits = a_bits;
-  net.stem_shift = sum_product_bits(a_bits, w_bits, in_c * 9) - a_bits - 2;
-  if (net.stem_shift < 0) net.stem_shift = 0;
-  for (std::size_t d = 0; d < depth; ++d) {
-    net.blocks.push_back(QuantizedBlock::random(width, 3, w_bits, a_bits, rng));
-  }
-  net.head = SyntheticClassifier::random(width * spatial * spatial, classes, w_bits, rng);
-  return net;
-}
-
-Tensor3 SmallQuantNet::features(const Tensor3& x, const ConvFn& conv) const {
-  Tensor3 sp = conv(x, stem);
-  requantize(sp.data(), stem_shift, act_bits);
-  Tensor3 a = relu(std::move(sp));
-  for (const QuantizedBlock& block : blocks) a = block.forward_with(a, conv);
-  return a;
-}
-
-std::size_t SmallQuantNet::predict(const Tensor3& x, const ConvFn& conv) const {
-  const Tensor3 f = features(x, conv);
-  if (f.data().size() != head.fc_weights.size() / head.classes) {
-    throw std::invalid_argument("SmallQuantNet::predict: head/feature size mismatch");
-  }
-  return head.predict(f.data());
 }
 
 }  // namespace flash::tensor

@@ -1,9 +1,9 @@
-// A small synthetic quantized CNN assembled from the residual blocks — the
-// end-to-end inference substrate. The convolution executor is injectable so
-// the same network runs on the cleartext reference path or through the
-// hybrid HE/2PC protocol (core::FlashAccelerator provides that executor),
-// which is how the integration example and tests check full-network
-// equivalence.
+// Quantized network programs — the end-to-end inference substrate. The
+// convolution executor is injectable so the same program runs on the
+// cleartext reference path, through the hybrid HE/2PC protocol
+// (core::FlashAccelerator::hconv_executor), or layer by layer through a
+// serving session (serve/network_session.hpp), which is how the examples
+// and tests check full-network equivalence.
 #pragma once
 
 #include <functional>
@@ -12,15 +12,6 @@
 
 namespace flash::tensor {
 
-/// A stride-1 'same' convolution executor: takes the (unpadded) input and
-/// the weights, returns the raw sum-products.
-using ConvFn = std::function<Tensor3(const Tensor3&, const Tensor4&)>;
-
-/// The cleartext reference executor.
-ConvFn reference_conv();
-
-struct SmallQuantNet;
-
 /// Activation shape bookkeeping for layer-stack programs.
 struct Shape3 {
   std::size_t c = 0, h = 0, w = 0;
@@ -28,8 +19,7 @@ struct Shape3 {
   bool operator==(const Shape3&) const = default;
 };
 
-/// One step of a composable network program — the serving-scale superset of
-/// SmallQuantNet's fixed stem/block/head shape. Three kinds:
+/// One step of a composable network program. Three kinds:
 ///   * kConv: conv (any stride/pad, square or rectangular kernel) followed
 ///     by the layer's post-ops (requant shift + clamp, optional ReLU);
 ///   * kResidualAdd: add a previously saved activation (see save_output),
@@ -82,8 +72,8 @@ struct NetworkResult {
 struct LayerStack {
   std::vector<NetLayer> layers;
 
-  /// Conv executor with explicit geometry: (input, weights, stride, pad) ->
-  /// raw sum-products. Generalizes ConvFn (which is stride-1 'same' only).
+  /// Conv executor with explicit geometry: (unpadded input, weights,
+  /// stride, pad) -> raw sum-products.
   using ConvExec =
       std::function<Tensor3(const Tensor3&, const Tensor4&, std::size_t, std::size_t)>;
 
@@ -100,8 +90,14 @@ struct LayerStack {
   /// (std::invalid_argument on underflow / mismatch).
   static Shape3 layer_output_shape(Shape3 in, const NetLayer& layer);
 
-  /// Lift a SmallQuantNet into the program form (bit-identical forward).
-  static LayerStack from_quant_net(const SmallQuantNet& net);
+  /// stem conv -> depth residual blocks -> flatten -> FC head, all at
+  /// `width` channels and spatial x spatial: every conv is 3x3 stride-1
+  /// 'same' with requant + clamp to a_bits, the stem's output and every
+  /// join but the last are saved as the next block's shortcut. Layers:
+  /// 1 + 3 * depth + 1, of which 1 + 2 * depth are convs.
+  static LayerStack small_resnet(std::size_t in_c, std::size_t width, std::size_t depth,
+                                 std::size_t classes, std::size_t spatial, int w_bits,
+                                 int a_bits, std::mt19937_64& rng);
 
   /// A ResNet-18-shaped stack scaled to software-tractable sizes: stem,
   /// two stages of two residual blocks each, a strided downsample between
@@ -111,25 +107,6 @@ struct LayerStack {
   static LayerStack resnet18_like(std::size_t in_c, std::size_t width, std::size_t spatial,
                                   std::size_t classes, int w_bits, int a_bits,
                                   std::mt19937_64& rng);
-};
-
-/// stem conv -> depth x residual blocks -> flatten -> classifier head.
-struct SmallQuantNet {
-  Tensor4 stem;  // in_c -> width, 3x3 'same'
-  int stem_shift = 4;
-  std::vector<QuantizedBlock> blocks;
-  SyntheticClassifier head;
-  int act_bits = 4;
-
-  static SmallQuantNet random(std::size_t in_c, std::size_t width, std::size_t depth,
-                              std::size_t classes, std::size_t spatial, int w_bits, int a_bits,
-                              std::mt19937_64& rng);
-
-  /// Feature extraction through stem + blocks with the given conv executor.
-  Tensor3 features(const Tensor3& x, const ConvFn& conv) const;
-
-  /// Argmax class.
-  std::size_t predict(const Tensor3& x, const ConvFn& conv) const;
 };
 
 }  // namespace flash::tensor

@@ -67,20 +67,6 @@ struct QuantizedBlock {
   /// vector supplies one perturbation tensor per conv (sized like the conv
   /// output); pass empty tensors for no injection.
   Tensor3 forward_with_error(const Tensor3& input, const Tensor3& err1, const Tensor3& err2) const;
-
-  /// Forward pass with an injected convolution executor (stride-1 'same');
-  /// used to run the block's convs over the HE/2PC protocol.
-  template <typename ConvExec>
-  Tensor3 forward_with(const Tensor3& input, const ConvExec& conv) const {
-    Tensor3 sp1 = conv(input, conv1);
-    requantize(sp1.data(), requant_shift, act_bits);
-    const Tensor3 a1 = relu(std::move(sp1));
-    Tensor3 sp2 = conv(a1, conv2);
-    requantize(sp2.data(), requant_shift, act_bits);
-    Tensor3 out = add(sp2, input);
-    for (auto& v : out.data()) v = clamp_to_bits(v, act_bits);
-    return relu(std::move(out));
-  }
 };
 
 /// A tiny synthetic classifier on top of pooled block features, used to

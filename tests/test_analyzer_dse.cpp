@@ -1,16 +1,13 @@
-// DSE x static analyzer integration: no explorer may ever return a design
+// DSE x static analyzer integration: the explorer may never return a design
 // point the overflow analyzer rejects. This is the admission contract wired
-// into DseExplorer::explore and BayesianExplorer::explore (dse/safety.hpp) —
-// unprovable candidates are resampled before evaluation, never scored.
+// into BayesianExplorer::explore (dse/safety.hpp) — unprovable candidates
+// are resampled before evaluation, never scored.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "dse/bayesopt.hpp"
-#include "dse/cost_model.hpp"
-#include "dse/optimizer.hpp"
-#include "dse/safety.hpp"
 
 namespace {
 
@@ -35,18 +32,6 @@ std::size_t count_unprovable(const Setup& s, const std::vector<flash::dse::Evalu
   return unproven;
 }
 
-TEST(AnalyzerDse, EvolutionaryExplorerReturnsOnlyProvablePoints) {
-  auto s = table1_setup(512, 18, 7.0);
-  flash::dse::DseExplorer explorer(s.space, s.model, s.cost, /*seed=*/123);
-  flash::dse::DseOptions opts;
-  opts.evaluations = 150;
-  opts.population = 30;
-  const auto all = explorer.explore(opts);
-  ASSERT_EQ(all.size(), 150u);  // resampling must not eat the budget
-  EXPECT_EQ(count_unprovable(s, all), 0u);
-  EXPECT_EQ(count_unprovable(s, flash::dse::pareto_front(all)), 0u);
-}
-
 TEST(AnalyzerDse, BayesianExplorerReturnsOnlyProvablePoints) {
   auto s = table1_setup(512, 18, 7.0);
   flash::dse::BayesianExplorer explorer(s.space, s.model, s.cost, /*seed=*/321);
@@ -63,10 +48,10 @@ TEST(AnalyzerDse, GatingHoldsAcrossSeedsAndWorkloads) {
   // A cheap sweep over seeds/workloads: the admission rule is seed-independent.
   for (std::uint64_t seed : {1ull, 7ull, 99ull}) {
     auto s = table1_setup(1024, 128, 3.0);
-    flash::dse::DseExplorer explorer(s.space, s.model, s.cost, seed);
-    flash::dse::DseOptions opts;
+    flash::dse::BayesianExplorer explorer(s.space, s.model, s.cost, seed);
+    flash::dse::BayesOptions opts;
     opts.evaluations = 60;
-    opts.population = 16;
+    opts.initial_random = 16;
     EXPECT_EQ(count_unprovable(s, explorer.explore(opts)), 0u) << "seed=" << seed;
   }
 }
@@ -89,11 +74,6 @@ TEST(AnalyzerDse, ExplorerThrowsWhenNothingIsProvable) {
   flash::dse::DesignSpace space(256, flash::dse::SpaceBounds{10, 16, 2, 18});
   flash::dse::ErrorModel model(256, 1e6, 3000.0, 2500.0);
   flash::dse::CostModel cost(space.fft_size(), space.bounds());
-
-  flash::dse::DseExplorer evo(space, model, cost, /*seed=*/9);
-  flash::dse::DseOptions evo_opts;
-  evo_opts.evaluations = 10;
-  EXPECT_THROW(evo.explore(evo_opts), std::runtime_error);
 
   flash::dse::BayesianExplorer bayes(space, model, cost, /*seed=*/9);
   flash::dse::BayesOptions bayes_opts;

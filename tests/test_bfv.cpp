@@ -7,7 +7,6 @@
 
 #include "bfv/encrypt.hpp"
 #include "bfv/evaluator.hpp"
-#include "bfv/noise.hpp"
 #include "core/flash_accelerator.hpp"
 #include "hemath/primes.hpp"
 
@@ -353,17 +352,6 @@ TEST(Bfv, EngineCountsOperations) {
   EXPECT_EQ(c.plain_transforms, 1u);
   EXPECT_EQ(c.cipher_transforms, 4u);   // 2 ciphertexts x 2 elements
   EXPECT_EQ(c.inverse_transforms, 4u);
-}
-
-TEST(Bfv, NoiseHelpersAreConsistent) {
-  const BfvParams p = test_params();
-  const double fresh = predicted_fresh_noise_bits(p);
-  EXPECT_GT(fresh, 0.0);
-  const double after = predicted_plain_mult_noise_bits(p, fresh, 72, 8.0);
-  EXPECT_GT(after, fresh);
-  EXPECT_LT(after, p.noise_ceiling_bits());  // decryption still safe
-  const double headroom = approx_error_headroom_bits(p, after);
-  EXPECT_GT(headroom, 0.0);  // room for approximate-FFT error
 }
 
 TEST(Bfv, BackendMismatchThrows) {

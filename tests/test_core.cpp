@@ -141,7 +141,7 @@ TEST(FlashAccelerator, ExploreLayerReturnsScatter) {
   layer.kernel = 3;
   layer.stride = 1;
   layer.pad = 1;
-  dse::DseOptions opts;
+  dse::BayesOptions opts;
   opts.evaluations = 120;
   const auto points = flash.explore_layer(layer, opts);
   EXPECT_EQ(points.size(), 120u);

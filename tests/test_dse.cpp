@@ -2,7 +2,7 @@
 // the bit-accurate simulator, cost-model monotonicity, and Pareto search.
 #include <gtest/gtest.h>
 
-#include "dse/optimizer.hpp"
+#include "dse/bayesopt.hpp"
 
 namespace flash::dse {
 namespace {
@@ -38,18 +38,6 @@ TEST(Space, MutationStaysInBoundsAndChangesSomething) {
     }
   }
   EXPECT_GT(changed, 40);
-}
-
-TEST(Space, CrossoverMixesParents) {
-  DesignSpace space(1024, test_bounds());
-  std::mt19937_64 rng(93);
-  DesignPoint a, b;
-  a.stage_widths.assign(10, 10);
-  a.twiddle_k = 2;
-  b.stage_widths.assign(10, 39);
-  b.twiddle_k = 18;
-  const DesignPoint c = space.crossover(a, b, rng);
-  for (int w : c.stage_widths) EXPECT_TRUE(w == 10 || w == 39);
 }
 
 TEST(Space, ToConfigAllocatesIntegerGrowth) {
@@ -150,78 +138,21 @@ TEST(Pareto, FrontExtraction) {
   EXPECT_DOUBLE_EQ(front.back().normalized_power, 5.0);
 }
 
-TEST(Explorer, ProducesRequestedEvaluationsAndFront) {
-  const std::size_t n = 512;
-  DesignSpace space(n / 2, test_bounds());
-  ErrorModel model = ErrorModel::from_weight_stats(n, 36, 8.0);
-  CostModel cost(n / 2, test_bounds());
-  DseExplorer explorer(std::move(space), std::move(model), std::move(cost), 2024);
-  DseOptions opts;
-  opts.evaluations = 300;
-  const auto all = explorer.explore(opts);
-  EXPECT_EQ(all.size(), 300u);
-  const auto front = pareto_front(all);
-  EXPECT_GT(front.size(), 3u);
-  // Front must be monotone: increasing power => decreasing error.
-  for (std::size_t i = 1; i < front.size(); ++i) {
-    EXPECT_GE(front[i].normalized_power, front[i - 1].normalized_power);
-    EXPECT_LE(front[i].error_variance, front[i - 1].error_variance);
-  }
-}
-
 TEST(Explorer, BestUnderThreshold) {
   const std::size_t n = 512;
   DesignSpace space(n / 2, test_bounds());
   ErrorModel model = ErrorModel::from_weight_stats(n, 36, 8.0);
   CostModel cost(n / 2, test_bounds());
-  DseExplorer explorer(std::move(space), std::move(model), std::move(cost), 2025);
-  DseOptions opts;
-  opts.evaluations = 400;
+  BayesianExplorer explorer(std::move(space), std::move(model), std::move(cost), 2025);
+  BayesOptions opts;
+  opts.evaluations = 120;
   const auto all = explorer.explore(opts);
   // Pick a mid-range threshold from the observed errors.
   double max_err = 0;
   for (const auto& e : all) max_err = std::max(max_err, e.error_variance);
-  const auto best = DseExplorer::best_under_threshold(all, max_err);
+  const auto best = best_under_threshold(all, max_err);
   EXPECT_LE(best.error_variance, max_err);
-  EXPECT_THROW(DseExplorer::best_under_threshold(all, 0.0), std::runtime_error);
-}
-
-TEST(Explorer, SearchBeatsRandomAtEqualBudget) {
-  // The evolutionary archive should find cheaper feasible points than pure
-  // random sampling for the same number of evaluations.
-  const std::size_t n = 512;
-  const SpaceBounds bounds = test_bounds();
-  DesignSpace space(n / 2, bounds);
-  const ErrorModel model = ErrorModel::from_weight_stats(n, 36, 8.0);
-  const CostModel cost(n / 2, bounds);
-
-  DseExplorer explorer(DesignSpace(n / 2, bounds), ErrorModel(model), CostModel(cost), 31337);
-  DseOptions opts;
-  opts.evaluations = 500;
-  const auto evolved = explorer.explore(opts);
-
-  std::mt19937_64 rng(31337);
-  std::vector<EvaluatedPoint> random_pts;
-  for (int i = 0; i < 500; ++i) {
-    const DesignPoint p = space.random(rng);
-    random_pts.push_back({p, model.predict_variance(space, p), cost.normalized_power(p)});
-  }
-  // Compare best power subject to a common error threshold.
-  double threshold = 0;
-  for (const auto& e : random_pts) threshold = std::max(threshold, e.error_variance);
-  threshold *= 1e-6;  // a tight accuracy requirement
-  double best_evolved = 1e300, best_random = 1e300;
-  for (const auto& e : evolved) {
-    if (e.error_variance <= threshold) best_evolved = std::min(best_evolved, e.normalized_power);
-  }
-  for (const auto& e : random_pts) {
-    if (e.error_variance <= threshold) best_random = std::min(best_random, e.normalized_power);
-  }
-  if (best_random < 1e300) {
-    EXPECT_LE(best_evolved, best_random * 1.05);
-  } else {
-    SUCCEED() << "random sampling found no feasible point at this threshold";
-  }
+  EXPECT_THROW(best_under_threshold(all, 0.0), std::runtime_error);
 }
 
 }  // namespace

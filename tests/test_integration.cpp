@@ -5,7 +5,7 @@
 
 #include <random>
 
-#include "bfv/noise.hpp"
+#include "analysis/pipeline_certifier.hpp"
 #include "core/flash_accelerator.hpp"
 #include "tensor/quant.hpp"
 #include "tensor/resnet.hpp"
@@ -115,13 +115,29 @@ TEST(Integration, ClassificationFlipRateUnderApproxError) {
 }
 
 TEST(Integration, NoiseBudgetSurvivesApproxHConv) {
-  // Kernel-level robustness: after an approximate-FFT HConv the ciphertext
-  // must still decrypt exactly (checked via protocol correctness above) and
-  // the predicted headroom for FFT error must be positive.
+  // Kernel-level robustness: the pipeline certifier proves that one HConv
+  // unit (a 3x3 kernel of weight 8 over a 10x10 patch) decrypts correctly
+  // on the exact backends and on the approximate FFT at its conservative
+  // operating point — the noise budget absorbs the FFT error.
   const bfv::BfvParams params = bfv::BfvParams::create(4096, 20, 49);
-  const double fresh = bfv::predicted_fresh_noise_bits(params);
-  const double after = bfv::predicted_plain_mult_noise_bits(params, fresh, 9, 8.0);
-  EXPECT_GT(bfv::approx_error_headroom_bits(params, after), 2.0);
+  analysis::HConvUnitDesc desc;
+  desc.params = params;
+  desc.in_c = 1;
+  desc.in_h = desc.in_w = 10;
+  desc.weights = tensor::Tensor4(1, 1, 3, 3);
+  for (auto& v : desc.weights.data()) v = 8;
+  for (const auto backend : {bfv::PolyMulBackend::kNtt, bfv::PolyMulBackend::kFft,
+                             bfv::PolyMulBackend::kApproxFft}) {
+    desc.backend = backend;
+    desc.approx_config.reset();
+    if (backend == bfv::PolyMulBackend::kApproxFft) {
+      desc.approx_config = core::high_accuracy_approx_config(params.n, params.t);
+    }
+    const analysis::PipelineCertificate cert = analysis::certify_hconv_unit(desc);
+    EXPECT_EQ(cert.verdict, analysis::PipelineVerdict::kProvenCorrectDecryption)
+        << "backend " << static_cast<int>(backend) << ": " << cert.detail;
+    EXPECT_GT(cert.margin_bits, 0.0) << "backend " << static_cast<int>(backend);
+  }
 }
 
 TEST(Integration, EndToEndCountersMatchTilingPlan) {

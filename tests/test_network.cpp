@@ -1,5 +1,5 @@
-// End-to-end quantized network with injectable convolution executors:
-// cleartext vs hybrid HE/2PC equivalence over the full stack.
+// Network programs with injectable convolution executors: cleartext vs
+// hybrid HE/2PC equivalence over the full stack.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,29 +11,41 @@
 namespace flash {
 namespace {
 
-TEST(SmallQuantNet, FeatureShapesAndDeterminism) {
+TEST(LayerStack, SmallResnetShapesAndDeterminism) {
   std::mt19937_64 rng(1);
-  const auto net = tensor::SmallQuantNet::random(3, 8, 2, 10, 6, 4, 4, rng);
+  const auto stack = tensor::LayerStack::small_resnet(3, 8, 2, 10, 6, 4, 4, rng);
+  // stem + 2 x (c1, c2, join) + FC
+  ASSERT_EQ(stack.layers.size(), 8u);
   const tensor::Tensor3 x = tensor::random_activations(3, 6, 6, 4, rng);
-  const auto conv = tensor::reference_conv();
-  const tensor::Tensor3 f = net.features(x, conv);
-  EXPECT_EQ(f.channels(), 8u);
-  EXPECT_EQ(f.height(), 6u);
-  EXPECT_EQ(net.predict(x, conv), net.predict(x, conv));
-  for (tensor::i64 v : f.data()) {
+  std::vector<tensor::Tensor3> outputs;
+  const tensor::NetworkResult result =
+      stack.forward(x, tensor::LayerStack::reference_executor(), &outputs);
+  EXPECT_EQ(outputs.size(), stack.layers.size());
+  EXPECT_EQ(result.features.channels(), 8u);
+  EXPECT_EQ(result.features.height(), 6u);
+  for (tensor::i64 v : result.features.data()) {
     EXPECT_GE(v, 0);
     EXPECT_LE(v, tensor::quant_max(4));
   }
+  ASSERT_TRUE(result.has_logits);
+  ASSERT_EQ(result.logits.size(), 10u);
+  // The recorded FC output is the logits as a 1x1xF tensor.
+  EXPECT_EQ(outputs.back().data(), result.logits);
+  // Deterministic in the seed and the input.
+  std::mt19937_64 rng2(1);
+  const auto again = tensor::LayerStack::small_resnet(3, 8, 2, 10, 6, 4, 4, rng2);
+  EXPECT_EQ(again.forward(x, tensor::LayerStack::reference_executor()).logits, result.logits);
 }
 
-TEST(SmallQuantNet, HeadSizeMismatchThrows) {
+TEST(LayerStack, HeadSizeMismatchThrows) {
   std::mt19937_64 rng(2);
-  auto net = tensor::SmallQuantNet::random(3, 8, 1, 10, 6, 4, 4, rng);
+  const auto stack = tensor::LayerStack::small_resnet(3, 8, 1, 10, 6, 4, 4, rng);
   const tensor::Tensor3 wrong = tensor::random_activations(3, 8, 8, 4, rng);  // 8x8 vs head 6x6
-  EXPECT_THROW(net.predict(wrong, tensor::reference_conv()), std::invalid_argument);
+  EXPECT_THROW(stack.forward(wrong, tensor::LayerStack::reference_executor()),
+               std::invalid_argument);
 }
 
-TEST(SmallQuantNet, PrivateInferenceMatchesCleartext) {
+TEST(LayerStack, PrivateInferenceMatchesCleartext) {
   const bfv::BfvParams params = bfv::BfvParams::create(1024, 18, 46);
   core::FlashOptions options;
   options.backend = bfv::PolyMulBackend::kApproxFft;
@@ -41,53 +53,32 @@ TEST(SmallQuantNet, PrivateInferenceMatchesCleartext) {
   core::FlashAccelerator acc(params, options);
 
   std::mt19937_64 rng(3);
-  const auto net = tensor::SmallQuantNet::random(3, 6, 2, 8, 6, 4, 4, rng);
-  const auto reference = tensor::reference_conv();
-  auto private_conv = acc.hconv_executor();
+  const auto stack = tensor::LayerStack::small_resnet(3, 6, 2, 8, 6, 4, 4, rng);
+  const auto reference = tensor::LayerStack::reference_executor();
+  const auto private_conv = acc.hconv_executor();
 
   for (int s = 0; s < 2; ++s) {
     const tensor::Tensor3 x = tensor::random_activations(3, 6, 6, 4, rng);
-    const tensor::Tensor3 ref_features = net.features(x, reference);
-    const tensor::Tensor3 got_features = net.features(x, private_conv);
-    EXPECT_EQ(got_features.data(), ref_features.data()) << "sample " << s;
-    EXPECT_EQ(net.predict(x, private_conv), net.predict(x, reference)) << "sample " << s;
+    const tensor::NetworkResult ref = stack.forward(x, reference);
+    const tensor::NetworkResult got = stack.forward(x, private_conv);
+    EXPECT_EQ(got.features.data(), ref.features.data()) << "sample " << s;
+    EXPECT_EQ(got.logits, ref.logits) << "sample " << s;
   }
 }
 
-TEST(SmallQuantNet, NttBackendAlsoExact) {
+TEST(LayerStack, NttBackendAlsoExact) {
+  // ResNet-18-shaped, so the executor also runs a stride-2 downsample.
   const bfv::BfvParams params = bfv::BfvParams::create(1024, 18, 46);
   core::FlashOptions options;
   options.backend = bfv::PolyMulBackend::kNtt;
   core::FlashAccelerator acc(params, options);
   std::mt19937_64 rng(4);
-  const auto net = tensor::SmallQuantNet::random(2, 4, 1, 6, 6, 4, 4, rng);
+  const auto stack = tensor::LayerStack::resnet18_like(2, 2, 6, 3, 4, 4, rng);
   const tensor::Tensor3 x = tensor::random_activations(2, 6, 6, 4, rng);
-  EXPECT_EQ(net.predict(x, acc.hconv_executor()), net.predict(x, tensor::reference_conv()));
-}
-
-TEST(LayerStack, FromQuantNetMatchesSmallQuantNet) {
-  std::mt19937_64 rng(7);
-  const auto net = tensor::SmallQuantNet::random(2, 4, 2, 5, 6, 4, 4, rng);
-  const tensor::Tensor3 x = tensor::random_activations(2, 6, 6, 4, rng);
-  const auto stack = tensor::LayerStack::from_quant_net(net);
-  // stem + 2 x (c1, c2, join) + FC
-  ASSERT_EQ(stack.layers.size(), 8u);
-
-  std::vector<tensor::Tensor3> outputs;
-  const tensor::NetworkResult result =
-      stack.forward(x, tensor::LayerStack::reference_executor(), &outputs);
-  EXPECT_EQ(outputs.size(), stack.layers.size());
-  EXPECT_EQ(result.features, net.features(x, tensor::reference_conv()));
-  ASSERT_TRUE(result.has_logits);
-  ASSERT_EQ(result.logits.size(), 5u);
-  // Argmax of the stack's logits is SmallQuantNet's prediction.
-  std::size_t argmax = 0;
-  for (std::size_t i = 1; i < result.logits.size(); ++i) {
-    if (result.logits[i] > result.logits[argmax]) argmax = i;
-  }
-  EXPECT_EQ(argmax, net.predict(x, tensor::reference_conv()));
-  // The recorded FC output is the logits as a 1x1xF tensor.
-  EXPECT_EQ(outputs.back().data(), result.logits);
+  const tensor::NetworkResult got = stack.forward(x, acc.hconv_executor());
+  const tensor::NetworkResult ref = stack.forward(x, tensor::LayerStack::reference_executor());
+  EXPECT_EQ(got.features, ref.features);
+  EXPECT_EQ(got.logits, ref.logits);
 }
 
 TEST(LayerStack, ShapeChainAndValidation) {

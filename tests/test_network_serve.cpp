@@ -17,8 +17,8 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// A small residual network (stem + 2 blocks + FC) lifted from SmallQuantNet
-/// plus the context its convs serve under.
+/// A small residual network (stem + 2 blocks + FC) plus the context its
+/// convs serve under.
 class NetworkServeTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kSeed = 0x5e55;
@@ -26,9 +26,8 @@ class NetworkServeTest : public ::testing::Test {
 
   NetworkServeTest() : params_(bfv::BfvParams::create(1024, 17, 44)), ctx_(params_) {
     std::mt19937_64 rng(kSeed);
-    net_ = tensor::SmallQuantNet::random(kInC, kWidth, /*depth=*/2, kClasses, kSpatial,
-                                         /*w_bits=*/4, /*a_bits=*/4, rng);
-    stack_ = tensor::LayerStack::from_quant_net(net_);
+    stack_ = tensor::LayerStack::small_resnet(kInC, kWidth, /*depth=*/2, kClasses, kSpatial,
+                                              /*w_bits=*/4, /*a_bits=*/4, rng);
     input_ = tensor::random_activations(kInC, kSpatial, kSpatial, 4, rng);
   }
 
@@ -40,7 +39,6 @@ class NetworkServeTest : public ::testing::Test {
 
   bfv::BfvParams params_;
   bfv::BfvContext ctx_;
-  tensor::SmallQuantNet net_;
   tensor::LayerStack stack_;
   tensor::Tensor3 input_;
 };
@@ -77,12 +75,11 @@ TEST_F(NetworkServeTest, SingleSessionManualDispatchCompletes) {
     EXPECT_EQ(served_outputs[l], serial_outputs[l]) << "layer " << l;
   }
 
-  // ...and to the cleartext forward (and to SmallQuantNet itself).
+  // ...and to the cleartext forward.
   const tensor::NetworkResult clear =
       stack_.forward(input_, tensor::LayerStack::reference_executor());
   EXPECT_EQ(session.features(), clear.features);
   EXPECT_EQ(session.logits(), clear.logits);
-  EXPECT_EQ(clear.features, net_.features(input_, tensor::reference_conv()));
 }
 
 TEST_F(NetworkServeTest, CrossSessionLayersBatchTogether) {

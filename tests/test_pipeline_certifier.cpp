@@ -221,6 +221,10 @@ TEST(PipelineCertifier, CertifiedBoundDominatesReplayedNoiseAcrossCorpus) {
         EXPECT_GE(cert.certified_noise_bits, r.noise_bits)
             << cse.spec.describe() << " backend=" << static_cast<int>(b.backend)
             << " witness=" << witness;
+        // ...and is not absurdly loose: within 10 bits of the replay.
+        EXPECT_LE(cert.certified_noise_bits, r.noise_bits + 10.0)
+            << cse.spec.describe() << " backend=" << static_cast<int>(b.backend)
+            << " witness=" << witness;
         // A proven verdict must also mean the replay decrypted exactly.
         if (cert.verdict == flash::analysis::PipelineVerdict::kProvenCorrectDecryption) {
           EXPECT_TRUE(r.values_match_ref) << cse.spec.describe();

@@ -5,9 +5,8 @@
 // schoolbook over the ring primitives, the batch SoA path vs a loop of
 // singles, and the full engine vs an *independent* signed-__int128
 // schoolbook reference that shares no code with hemath/pow2.hpp. On top of
-// that sit the admission proofs: the wrap analysis must flip exactly at the
-// predicted width, and the joint backend explorer must never admit a pow2
-// point it cannot prove wrap-free.
+// that sits the admission proof: the wrap analysis must flip exactly at the
+// predicted width.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -16,7 +15,6 @@
 #include "analysis/pow2_model.hpp"
 #include "bfv/context.hpp"
 #include "bfv/polymul_engine.hpp"
-#include "dse/backend_axis.hpp"
 #include "hemath/pow2.hpp"
 #include "wire/wire_format.hpp"
 
@@ -217,7 +215,6 @@ TEST(Pow2WrapAnalysis, OverflowingObligationIsNeverAdmissible) {
   ob.max_x = u64{1} << 40;
   EXPECT_FALSE(analysis::analyze_pow2_polymul(ob, 62).wrap_free);
   EXPECT_EQ(analysis::min_wrap_free_k(ob), 0);
-  EXPECT_TRUE(std::isinf(dse::ErrorModel::predict_variance_pow2(ob, 62)));
 }
 
 TEST(Pow2WrapAnalysis, ErrorBudgetIsZeroWhenProven) {
@@ -226,62 +223,8 @@ TEST(Pow2WrapAnalysis, ErrorBudgetIsZeroWhenProven) {
   ob.weight_nnz = 4;
   ob.max_w = 8;
   ob.max_x = 1 << 16;
-  EXPECT_EQ(dse::ErrorModel::predict_variance_pow2(ob, 40), 0.0);
-}
-
-dse::BackendExplorer make_explorer(const analysis::Pow2Obligation& ob, int min_k, int max_k) {
-  dse::DesignSpace space(ob.n / 2, dse::SpaceBounds{});
-  dse::ErrorModel model = dse::ErrorModel::from_weight_stats(ob.n, ob.weight_nnz,
-                                                             static_cast<double>(ob.max_w));
-  dse::CostModel cost(ob.n / 2, space.bounds());
-  return dse::BackendExplorer(dse::BackendSpace(std::move(space), min_k, max_k),
-                              std::move(model), std::move(cost), ob, 7);
-}
-
-TEST(BackendExplorer, AdmitsOnlyWrapFreePow2Points) {
-  analysis::Pow2Obligation ob;
-  ob.n = 512;
-  ob.weight_nnz = 9;
-  ob.max_w = 16;
-  ob.max_x = u64{1} << 20;  // min wrap-free k is 29 (see above)
-  // Width range straddles the proof boundary, so random/mutate draws land on
-  // unprovable widths constantly and admission must filter every one.
-  dse::BackendExplorer explorer = make_explorer(ob, 20, 40);
-  dse::BackendDseOptions opts;
-  opts.evaluations = 120;
-  opts.population = 16;
-  const auto points = explorer.explore(opts);
-  EXPECT_EQ(points.size(), opts.evaluations);
-  bool saw_pow2 = false;
-  for (const auto& e : points) {
-    if (e.point.backend != bfv::PolyMulBackend::kPow2) continue;
-    saw_pow2 = true;
-    EXPECT_GE(e.point.pow2_k, 29) << "unprovable pow2 width admitted";
-    EXPECT_EQ(e.error_variance, 0.0);
-    EXPECT_GT(e.normalized_power, 0.0);
-  }
-  EXPECT_TRUE(saw_pow2) << "the pow2 arm never survived admission";
-
-  // The mixed front must carry the zero-error pow2 point (nothing with
-  // error 0 at lower power can exist unless it is itself a pow2 point).
-  const auto front = dse::pareto_front(points);
-  ASSERT_FALSE(front.empty());
-  bool front_has_pow2 = false;
-  for (const auto& e : front) {
-    front_has_pow2 |= e.point.backend == bfv::PolyMulBackend::kPow2;
-  }
-  EXPECT_TRUE(front_has_pow2);
-}
-
-TEST(BackendExplorer, Pow2PowerProxyIsMonotoneInWidth) {
-  dse::DesignSpace space(256, dse::SpaceBounds{});
-  dse::CostModel cost(256, space.bounds());
-  double prev = 0.0;
-  for (const int k : {8, 16, 32, 49, 62}) {
-    const double p = dse::pow2_normalized_power(cost, 512, k);
-    EXPECT_GT(p, prev) << "k=" << k;
-    prev = p;
-  }
+  // Wrap-free means exact: no error budget is spent mod 2^k.
+  EXPECT_TRUE(analysis::analyze_pow2_polymul(ob, 40).wrap_free);
 }
 
 TEST(Pow2Wire, PlanSpecRoundTripsThePow2Backend) {

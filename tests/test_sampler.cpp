@@ -26,23 +26,6 @@ TEST(Sampler, TernaryValuesOnly) {
   }
 }
 
-TEST(Sampler, CbdMeanAndVariance) {
-  Sampler s(102);
-  const u64 q = 1000003;
-  const int eta = 8;
-  const Poly p = s.cbd_poly(q, 1 << 14, eta);
-  double mean = 0, var = 0;
-  for (std::size_t i = 0; i < p.degree(); ++i) mean += static_cast<double>(to_signed(p[i], q));
-  mean /= static_cast<double>(p.degree());
-  for (std::size_t i = 0; i < p.degree(); ++i) {
-    const double d = static_cast<double>(to_signed(p[i], q)) - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(p.degree());
-  EXPECT_NEAR(mean, 0.0, 0.15);
-  EXPECT_NEAR(var, eta / 2.0, 0.4);  // CBD(eta) variance = eta/2
-}
-
 TEST(Sampler, GaussianSigma) {
   Sampler s(103);
   const u64 q = u64{1} << 40;

@@ -17,7 +17,6 @@
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/simd.hpp"
-#include "sparsefft/merged_kernels.hpp"
 
 namespace flash {
 namespace {
@@ -402,36 +401,6 @@ TEST(SimdBatchKernels, NegacyclicFxpBatchBitIdenticalToSingles) {
       for (std::size_t b = 0; b < batch; ++b) {
         ASSERT_EQ(back[b], back_ref[b]) << "batch=" << batch << " lane=" << b;
       }
-    }
-  }
-}
-
-TEST(SimdBatchKernels, MergedMaterializeBitIdenticalAcrossLevels) {
-  std::mt19937_64 rng(406);
-  std::uniform_real_distribution<double> dist(-4.0, 4.0);
-  for (std::size_t m : {1u, 3u, 4u, 7u, 8u, 64u, 513u}) {
-    std::vector<double> base_re(m), base_im(m), tw_re(m), tw_im(m);
-    std::vector<std::uint64_t> quadrant(m), lazy(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      base_re[i] = dist(rng);
-      base_im[i] = dist(rng);
-      tw_re[i] = dist(rng);
-      tw_im[i] = dist(rng);
-      quadrant[i] = rng() % 4;
-      lazy[i] = rng() % 2;
-    }
-    std::vector<cplx> ref(m);
-    const std::uint64_t mults_ref = sparsefft::detail::merged_materialize_scalar(
-        base_re.data(), base_im.data(), tw_re.data(), tw_im.data(), quadrant.data(), lazy.data(),
-        m, ref.data());
-    for (SimdLevel lvl : supported_levels()) {
-      ScopedSimdLevel level(lvl);
-      std::vector<cplx> out(m);
-      const std::uint64_t mults = sparsefft::detail::merged_materialize(
-          base_re.data(), base_im.data(), tw_re.data(), tw_im.data(), quadrant.data(),
-          lazy.data(), m, out.data());
-      EXPECT_EQ(mults, mults_ref) << m;
-      expect_bit_identical(out, ref);
     }
   }
 }

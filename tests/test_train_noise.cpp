@@ -1,10 +1,6 @@
-// Approximation-aware training (the k: 18 -> 5 mechanism) and the static
-// noise estimator.
+// Approximation-aware training (the k: 18 -> 5 mechanism).
 #include <gtest/gtest.h>
 
-#include "bfv/encrypt.hpp"
-#include "bfv/evaluator.hpp"
-#include "bfv/noise.hpp"
 #include "tensor/train.hpp"
 
 namespace flash {
@@ -65,66 +61,6 @@ TEST(Train, MoreTrainingNoiseMoreRobustness) {
     prev = std::max(prev, acc);
   }
   EXPECT_GT(prev, 0.70);
-}
-
-// --- noise estimator ---------------------------------------------------------
-
-struct NoiseFixture {
-  bfv::BfvContext ctx;
-  hemath::Sampler sampler;
-  bfv::KeyGenerator keygen;
-  bfv::SecretKey sk;
-  bfv::PublicKey pk;
-  bfv::Encryptor enc;
-  bfv::Decryptor dec;
-  bfv::Evaluator ev;
-  bfv::NoiseEstimator est;
-
-  NoiseFixture()
-      : ctx(bfv::BfvParams::create(1024, 14, 58)), sampler(77), keygen(ctx, sampler),
-        sk(keygen.secret_key()), pk(keygen.public_key(sk)), enc(ctx, sampler), dec(ctx, sk),
-        ev(ctx, bfv::PolyMulBackend::kNtt), est(ctx.params()) {}
-
-  bfv::Ciphertext fresh_ct(std::mt19937_64& rng) {
-    std::vector<hemath::i64> vals(ctx.params().n);
-    for (auto& v : vals) v = static_cast<hemath::i64>(rng() % 31) - 15;
-    return enc.encrypt(ctx.encode_signed(vals), pk);
-  }
-};
-
-TEST(NoiseEstimator, FreshPredictionBracketsMeasurement) {
-  NoiseFixture f;
-  std::mt19937_64 rng(1);
-  const auto ct = f.fresh_ct(rng);
-  const double measured_noise = f.ctx.params().noise_ceiling_bits() - f.dec.invariant_noise_budget(ct);
-  const double predicted = f.est.fresh();
-  EXPECT_GE(predicted, measured_noise - 1.0);       // prediction is an upper estimate
-  EXPECT_LE(predicted, measured_noise + 10.0);      // ... but not absurdly loose
-}
-
-TEST(NoiseEstimator, MultiplyPlainPrediction) {
-  NoiseFixture f;
-  std::mt19937_64 rng(2);
-  const auto ct = f.fresh_ct(rng);
-  std::vector<hemath::i64> vw(f.ctx.params().n, 0);
-  for (int i = 0; i < 64; ++i) vw[rng() % f.ctx.params().n] = 7;
-  const auto prod = f.ev.multiply_plain(ct, f.ctx.encode_signed(vw));
-  const double measured = f.ctx.params().noise_ceiling_bits() - f.dec.invariant_noise_budget(prod);
-  const double predicted = f.est.after_multiply_plain(f.est.fresh(), 64, 7.0);
-  EXPECT_GE(predicted, measured - 1.0);
-  EXPECT_LE(predicted, measured + 10.0);
-}
-
-TEST(NoiseEstimator, AddIsLogSumExp) {
-  NoiseFixture f;
-  EXPECT_NEAR(f.est.after_add(10.0, 10.0), 11.0, 1e-9);
-  EXPECT_NEAR(f.est.after_add(20.0, 0.0), 20.0, 0.01);
-}
-
-TEST(NoiseEstimator, BudgetMatchesCeiling) {
-  NoiseFixture f;
-  EXPECT_NEAR(f.est.budget(0.0), f.ctx.params().noise_ceiling_bits(), 1e-9);
-  EXPECT_LT(f.est.budget(50.0), f.est.budget(10.0));
 }
 
 }  // namespace

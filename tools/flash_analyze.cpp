@@ -39,9 +39,6 @@
 #include "analysis/fxp_analyzer.hpp"
 #include "core/flash_accelerator.hpp"
 #include "dse/bayesopt.hpp"
-#include "dse/cost_model.hpp"
-#include "dse/optimizer.hpp"
-#include "dse/safety.hpp"
 #include "protocol/plan_certificate.hpp"
 #include "tensor/network.hpp"
 #include "tensor/quant.hpp"
@@ -134,29 +131,19 @@ int selfcheck() {
     }
   }
 
-  std::printf("fixed-seed DSE fronts (every returned point must be provable):\n");
+  std::printf("fixed-seed DSE front (every returned point must be provable):\n");
   {
     const std::size_t n = 512;
     flash::dse::DesignSpace space(n / 2, flash::dse::SpaceBounds{10, 39, 2, 18});
     const auto model = flash::dse::ErrorModel::from_weight_stats(n, 18, 7);
     const flash::dse::CostModel cost(space.fft_size(), space.bounds());
 
-    flash::dse::DseExplorer evo(space, model, cost, /*seed=*/41);
-    flash::dse::DseOptions evo_opts;
-    evo_opts.evaluations = 120;
-    evo_opts.population = 24;
-    std::size_t unproven = 0;
-    for (const auto& e : pareto_front(evo.explore(evo_opts))) {
-      if (!flash::dse::design_point_proven_safe(space, model, e.point)) ++unproven;
-    }
-    expect(unproven == 0, "evolutionary front: 0 unprovable points");
-
     flash::dse::BayesianExplorer bayes(space, model, cost, /*seed=*/43);
     flash::dse::BayesOptions bayes_opts;
     bayes_opts.evaluations = 48;
     bayes_opts.initial_random = 12;
     bayes_opts.candidate_pool = 48;
-    unproven = 0;
+    std::size_t unproven = 0;
     for (const auto& e : pareto_front(bayes.explore(bayes_opts))) {
       if (!flash::dse::design_point_proven_safe(space, model, e.point)) ++unproven;
     }
