@@ -283,7 +283,7 @@ void BM_MultiplyPlain(benchmark::State& state) {
   static hemath::Sampler sampler(5);
   static bfv::KeyGenerator keygen(ctx, sampler);
   static const bfv::SecretKey sk = keygen.secret_key();
-  static const bfv::PublicKey pk = keygen.public_key(sk);
+  static const bfv::PreparedPublicKey pk = bfv::prepare_public_key(ctx, keygen.public_key(sk));
   static bfv::Encryptor enc(ctx, sampler);
 
   const auto backend = static_cast<bfv::PolyMulBackend>(state.range(0));

@@ -64,30 +64,6 @@ PublicKey KeyGenerator::public_key(const SecretKey& sk) {
   return {std::move(p0), std::move(a)};
 }
 
-Ciphertext Encryptor::encrypt_symmetric(const Plaintext& pt, const SecretKey& sk) {
-  const auto& p = ctx_.params();
-  Poly a = sampler_.uniform_poly(p.q, p.n);
-  Poly e = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  Poly c0 = ctx_.scaled_message(pt);
-  c0.add_inplace(e);
-  Poly as = multiply(ctx_.ntt(), a, sk.s);
-  c0.sub_inplace(as);
-  return {std::move(c0), std::move(a)};
-}
-
-Ciphertext Encryptor::encrypt(const Plaintext& pt, const PublicKey& pk) {
-  const auto& p = ctx_.params();
-  Poly u = sampler_.ternary_poly(p.q, p.n);
-  Poly e1 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  Poly e2 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  Poly c0 = multiply(ctx_.ntt(), pk.p0, u);
-  c0.add_inplace(e1);
-  c0.add_inplace(ctx_.scaled_message(pt));
-  Poly c1 = multiply(ctx_.ntt(), pk.p1, u);
-  c1.add_inplace(e2);
-  return {std::move(c0), std::move(c1)};
-}
-
 PreparedPublicKey prepare_public_key(const BfvContext& ctx, const PublicKey& pk) {
   PreparedPublicKey out;
   out.p0_ntt = pk.p0.coeffs();
@@ -99,12 +75,10 @@ PreparedPublicKey prepare_public_key(const BfvContext& ctx, const PublicKey& pk)
 
 Ciphertext Encryptor::encrypt(const Plaintext& pt, const PreparedPublicKey& pk) {
   const auto& p = ctx_.params();
-  // Identical draw order to the PublicKey overload (u, e1, e2).
   Poly u = sampler_.ternary_poly(p.q, p.n);
   Poly e1 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
   Poly e2 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  // One forward of u shared by both key components; NTT residues are
-  // canonical, so the products match multiply(ntt, pk.p_i, u) bit for bit.
+  // One forward of u shared by both key components.
   std::vector<u64> u_hat = u.coeffs();
   const auto& ntt = ctx_.ntt();
   ntt.forward(u_hat);

@@ -19,11 +19,11 @@ class KeyGenerator {
   hemath::Sampler& sampler_;
 };
 
-/// Public key held in the NTT domain. Every public-key encryption computes
-/// p0*u and p1*u; with the key spectra precomputed, an encryption costs one
-/// forward transform (of u) plus one batched inverse pair instead of four
-/// forwards and two inverses. Pure function of the key, so a long-lived
-/// party (the HConv client, a serving process) builds it once.
+/// Public key held in the NTT domain, the only form encryption takes. Every
+/// encryption computes p0*u and p1*u; with the key spectra precomputed, it
+/// costs one forward transform (of u) plus one batched inverse pair instead
+/// of four forwards and two inverses. Pure function of the key, so a
+/// long-lived party (the HConv client, a serving process) builds it once.
 struct PreparedPublicKey {
   std::vector<u64> p0_ntt;  // forward NTT of pk.p0
   std::vector<u64> p1_ntt;  // forward NTT of pk.p1
@@ -35,15 +35,8 @@ class Encryptor {
  public:
   Encryptor(const BfvContext& ctx, hemath::Sampler& sampler) : ctx_(ctx), sampler_(sampler) {}
 
-  /// Symmetric encryption: ct = (Delta*m + e - a*s, a), a uniform.
-  Ciphertext encrypt_symmetric(const Plaintext& pt, const SecretKey& sk);
-
-  /// Public-key encryption: ct = (p0*u + e1 + Delta*m, p1*u + e2), u ternary.
-  Ciphertext encrypt(const Plaintext& pt, const PublicKey& pk);
-
-  /// Same encryption against a prepared key: draws u, e1, e2 in the same
-  /// sampler order, so for the same sampler state the ciphertext is
-  /// bit-identical to encrypt(pt, pk) — only the transform work shrinks.
+  /// Public-key encryption: ct = (p0*u + e1 + Delta*m, p1*u + e2), with u
+  /// ternary and e1, e2 Gaussian, drawn from the sampler in that order.
   Ciphertext encrypt(const Plaintext& pt, const PreparedPublicKey& pk);
 
  private:

@@ -2,21 +2,6 @@
 
 namespace flash::bfv {
 
-void Evaluator::add_inplace(Ciphertext& ct, const Ciphertext& other) const {
-  ct.c0.add_inplace(other.c0);
-  ct.c1.add_inplace(other.c1);
-}
-
-void Evaluator::sub_inplace(Ciphertext& ct, const Ciphertext& other) const {
-  ct.c0.sub_inplace(other.c0);
-  ct.c1.sub_inplace(other.c1);
-}
-
-void Evaluator::negate_inplace(Ciphertext& ct) const {
-  ct.c0.negate_inplace();
-  ct.c1.negate_inplace();
-}
-
 void Evaluator::add_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
   ct.c0.add_inplace(ctx_.scaled_message(pt));
 }
@@ -26,7 +11,9 @@ void Evaluator::sub_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
 }
 
 Ciphertext Evaluator::multiply_plain(const Ciphertext& ct, const PlainSpectrum& w) const {
-  return {engine_.multiply(ct.c0, w), engine_.multiply(ct.c1, w)};
+  CiphertextAccumulator accum;
+  multiply_accumulate(transform_ciphertext(ct), w, accum);
+  return finalize(accum);
 }
 
 Ciphertext Evaluator::multiply_plain(const Ciphertext& ct, const Plaintext& pt) const {

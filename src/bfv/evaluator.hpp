@@ -1,6 +1,6 @@
 // Homomorphic evaluation: the degree-0 ⊞ / ⊟ / ⊠ operations of the hybrid
-// protocol (ct ± ct, ct ± pt, ct × pt). There is no ct × ct, relinearization
-// or key switching: the protocol never calls them.
+// protocol (ct ± pt, ct × pt). There is no ct ± ct, ct × ct,
+// relinearization or key switching: the protocol never calls them.
 #pragma once
 
 #include "bfv/polymul_engine.hpp"
@@ -16,17 +16,14 @@ class Evaluator {
   const PolyMulEngine& engine() const { return engine_; }
   PolyMulEngine& engine() { return engine_; }
 
-  void add_inplace(Ciphertext& ct, const Ciphertext& other) const;
-  void sub_inplace(Ciphertext& ct, const Ciphertext& other) const;
-  void negate_inplace(Ciphertext& ct) const;
-
   /// ct ⊞ pt: c0 += Delta * m.
   void add_plain_inplace(Ciphertext& ct, const Plaintext& pt) const;
   /// ct ⊟ pt.
   void sub_plain_inplace(Ciphertext& ct, const Plaintext& pt) const;
 
-  /// ct ⊠ pt through the engine's backend. The plaintext spectrum may be
-  /// precomputed with transform_plain() and reused.
+  /// ct ⊠ pt: the one-shot form of the spectral pipeline below
+  /// (transform_ciphertext -> multiply_accumulate -> finalize). The
+  /// plaintext spectrum may be precomputed with transform_plain() and reused.
   Ciphertext multiply_plain(const Ciphertext& ct, const PlainSpectrum& w) const;
   Ciphertext multiply_plain(const Ciphertext& ct, const Plaintext& pt) const;
 

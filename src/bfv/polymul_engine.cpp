@@ -80,38 +80,6 @@ PlainSpectrum PolyMulEngine::transform_plain(const Plaintext& pt) const {
   return out;
 }
 
-std::vector<fft::cplx> PolyMulEngine::transform_cipher(const Poly& ct_poly) const {
-  const auto& p = ctx_.params();
-  core::ScratchFrame frame(core::thread_scratch());
-  std::span<double> vals = frame.alloc<double>(p.n);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    vals[i] = static_cast<double>(hemath::to_signed(ct_poly[i], p.q));
-  }
-  bump(counters_.cipher_transforms);
-  std::vector<fft::cplx> out(p.n / 2);
-  ctx_.fft().forward_into(vals, out);
-  return out;
-}
-
-std::vector<u64> PolyMulEngine::transform_cipher_ntt(const Poly& ct_poly) const {
-  std::vector<u64> vals = ct_poly.coeffs();
-  ctx_.ntt().forward(vals);
-  bump(counters_.cipher_transforms);
-  return vals;
-}
-
-std::vector<fft::cplx> PolyMulEngine::pointwise(const std::vector<fft::cplx>& ct_spec,
-                                                const PlainSpectrum& w) const {
-  if (w.backend == PolyMulBackend::kNtt) {
-    throw std::invalid_argument("PolyMulEngine::pointwise: NTT spectrum on FP path");
-  }
-  if (ct_spec.size() != w.fft.size()) throw std::invalid_argument("pointwise: size mismatch");
-  std::vector<fft::cplx> out(ct_spec.size());
-  for (std::size_t i = 0; i < ct_spec.size(); ++i) out[i] = ct_spec[i] * w.fft[i];
-  bump(counters_.pointwise_products, ct_spec.size());
-  return out;
-}
-
 Poly PolyMulEngine::inverse_to_poly(const std::vector<fft::cplx>& spec) const {
   const auto& p = ctx_.params();
   core::ScratchFrame frame(core::thread_scratch());
@@ -145,17 +113,27 @@ Poly PolyMulEngine::inverse_to_poly(const std::vector<fft::cplx>& spec) const {
 }
 
 CipherSpectrum PolyMulEngine::transform_cipher_spectrum(const Poly& ct_poly) const {
+  const auto& p = ctx_.params();
   CipherSpectrum spec;
   spec.backend = backend_;
+  bump(counters_.cipher_transforms);
   if (backend_ == PolyMulBackend::kNtt) {
-    spec.ntt = transform_cipher_ntt(ct_poly);
+    spec.ntt = ct_poly.coeffs();
+    ctx_.ntt().forward(spec.ntt);
   } else if (backend_ == PolyMulBackend::kPow2) {
     // No spectral domain mod 2^k: the "transform" is the residues themselves
     // (already < q = 2^k, so already mask-reduced).
     spec.pow2 = ct_poly.coeffs();
-    bump(counters_.cipher_transforms);
   } else {
-    spec.fft = transform_cipher(ct_poly);
+    // Both FP backends transform ciphertexts in double precision; only the
+    // weight side is approximate.
+    core::ScratchFrame frame(core::thread_scratch());
+    std::span<double> vals = frame.alloc<double>(p.n);
+    for (std::size_t i = 0; i < p.n; ++i) {
+      vals[i] = static_cast<double>(hemath::to_signed(ct_poly[i], p.q));
+    }
+    spec.fft.resize(p.n / 2);
+    ctx_.fft().forward_into(vals, spec.fft);
   }
   return spec;
 }
@@ -217,37 +195,6 @@ Poly PolyMulEngine::finalize(const SpectralAccumulator& accum) const {
     return Poly(p.q, std::move(coeffs));
   }
   return inverse_to_poly(accum.fft);
-}
-
-Poly PolyMulEngine::multiply(const Poly& ct_poly, const PlainSpectrum& w) const {
-  const auto& p = ctx_.params();
-  if (w.backend != backend_) throw std::invalid_argument("PolyMulEngine::multiply: backend mismatch");
-  switch (backend_) {
-    case PolyMulBackend::kNtt: {
-      std::vector<u64> ct = transform_cipher_ntt(ct_poly);
-      std::vector<u64> prod;
-      ctx_.ntt().pointwise(ct, w.ntt, prod);
-      bump(counters_.pointwise_products, p.n);
-      ctx_.ntt().inverse(prod);
-      bump(counters_.inverse_transforms);
-      return Poly(p.q, std::move(prod));
-    }
-    case PolyMulBackend::kFft:
-    case PolyMulBackend::kApproxFft: {
-      const std::vector<fft::cplx> ct_spec = transform_cipher(ct_poly);
-      return inverse_to_poly(pointwise(ct_spec, w));
-    }
-    case PolyMulBackend::kPow2: {
-      bump(counters_.cipher_transforms);
-      std::vector<u64> prod(p.n);
-      hemath::negacyclic_mul_pow2_into(ct_poly.coeffs().data(), w.pow2.data(), prod.data(), p.n,
-                                       *pow2_);
-      bump(counters_.pointwise_products, hemath::pow2_mult_count(p.n));
-      bump(counters_.inverse_transforms);
-      return Poly(p.q, std::move(prod));
-    }
-  }
-  throw std::logic_error("PolyMulEngine::multiply: unreachable");
 }
 
 }  // namespace flash::bfv

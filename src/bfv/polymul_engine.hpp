@@ -19,7 +19,9 @@
 //
 // Plaintext spectra are precomputed once (transform_plain) and reused across
 // every ciphertext they multiply, mirroring how FLASH amortizes weight
-// transforms across ciphertext tiles and both ciphertext components.
+// transforms across ciphertext tiles and both ciphertext components. Every
+// ct x pt product, of one term or a sum of many, is the same three calls:
+// transform_cipher_spectrum -> multiply_accumulate -> finalize.
 #pragma once
 
 #include <atomic>
@@ -109,9 +111,6 @@ class PolyMulEngine {
   /// domain. Coefficients are lifted to signed representatives mod t.
   PlainSpectrum transform_plain(const Plaintext& pt) const;
 
-  /// ct_poly (mod q) times the transformed plaintext, result mod q.
-  Poly multiply(const Poly& ct_poly, const PlainSpectrum& w) const;
-
   /// Transform a ciphertext polynomial once; reused across output channels.
   CipherSpectrum transform_cipher_spectrum(const Poly& ct_poly) const;
 
@@ -122,11 +121,8 @@ class PolyMulEngine {
   /// One inverse transform: spectral accumulation back to a ring element.
   Poly finalize(const SpectralAccumulator& accum) const;
 
-  /// Lower-level FP helpers (kept public for tests and benches).
-  std::vector<fft::cplx> transform_cipher(const Poly& ct_poly) const;
-  std::vector<u64> transform_cipher_ntt(const Poly& ct_poly) const;
-  std::vector<fft::cplx> pointwise(const std::vector<fft::cplx>& ct_spec,
-                                   const PlainSpectrum& w) const;
+  /// finalize's FP inverse with rounding back to Z_q, public for spectra
+  /// built outside the engine (the oracle's sparse-executor check).
   Poly inverse_to_poly(const std::vector<fft::cplx>& spec) const;
 
  private:

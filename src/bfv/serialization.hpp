@@ -4,12 +4,16 @@
 // tags; every loader validates sizes and moduli against the header so a
 // truncated or mismatched buffer fails loudly instead of decoding garbage.
 //
-// Adversarial-input contract (the wire layer feeds these loaders bytes from
-// untrusted peers): every failure — truncation, oversized length fields,
+// No protocol path serializes a BFV object today: the wire layer reuses
+// ByteReader/ByteWriter below but has its own params codec and never
+// decodes a key, plaintext or ciphertext. The loaders stay as the format a
+// cross-machine transport would carry, so they keep an adversarial-input
+// contract: every failure — truncation, oversized length fields,
 // inconsistent headers — raises SerializationError. In particular a length
-// field is checked against the bytes actually remaining in the buffer BEFORE
-// any allocation sized by it, so a forged "degree = 2^60" header costs the
-// attacker a rejected frame, never a bad_alloc or an OOM-killed server.
+// field is checked against the bytes actually remaining in the buffer
+// BEFORE any allocation sized by it, so a forged "degree = 2^60" header
+// costs the attacker a rejected buffer, never a bad_alloc or an OOM-killed
+// process.
 #pragma once
 
 #include <cstdint>

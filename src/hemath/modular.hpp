@@ -1,9 +1,10 @@
 // Modular arithmetic over 64-bit moduli.
 //
 // Everything the HE stack needs to compute in Z_q: 128-bit-intermediate
-// multiplication, exponentiation, inverses, and two precomputed reducers
-// (Barrett and Montgomery) that model the hardware-relevant reduction
-// strategies discussed in the FLASH paper (Table II cites both).
+// multiplication, Shoup multiplication by a fixed operand, exponentiation
+// and inverses. The served pointwise kernel carries its own Barrett
+// reduction (hemath/pointwise); Table II's multiplier costs come from
+// accel/unit_costs.
 #pragma once
 
 #include <cstdint>
@@ -75,67 +76,5 @@ inline u64 from_signed(i64 a, u64 q) {
   const u64 r = mag % q;
   return a < 0 && r != 0 ? q - r : r;
 }
-
-/// Barrett reduction with a precomputed 128-bit reciprocal.
-///
-/// Classic two-multiplication Barrett for q < 2^62: reduces any x < q^2.
-/// This is the reduction strategy FLASH's Table II attributes to F1-style
-/// modular multipliers.
-class BarrettReducer {
- public:
-  explicit BarrettReducer(u64 modulus);
-
-  u64 modulus() const { return q_; }
-
-  /// x mod q for x < 2^64 (single word).
-  u64 reduce(u64 x) const {
-    // mu_hi_:mu_lo_ approximates 2^128 / q; quotient estimate via the high
-    // 64 bits of x * (2^64 * mu_hi + mu_lo) >> 64 collapses to:
-    u128 prod = static_cast<u128>(x) * mu_hi_ + ((static_cast<u128>(x) * mu_lo_) >> 64);
-    u64 quot = static_cast<u64>(prod >> 64);
-    u64 r = x - quot * q_;
-    return r >= q_ ? r - q_ : r;
-  }
-
-  /// (a * b) mod q using Barrett on the 128-bit product.
-  u64 mul(u64 a, u64 b) const;
-
- private:
-  u64 q_ = 0;
-  u64 mu_hi_ = 0;  // floor(2^128 / q) split into two words
-  u64 mu_lo_ = 0;
-};
-
-/// Montgomery form arithmetic for odd moduli q < 2^63.
-///
-/// Models the alternative hardware reduction path (Montgomery 1985) cited by
-/// the paper. All values passed to mul() must already be in Montgomery form.
-class MontgomeryReducer {
- public:
-  explicit MontgomeryReducer(u64 modulus);
-
-  u64 modulus() const { return q_; }
-
-  /// Map a (plain) into Montgomery form: a * 2^64 mod q.
-  u64 to_mont(u64 a) const { return mul(a, r2_); }
-
-  /// Map out of Montgomery form: a_mont * 2^-64 mod q.
-  u64 from_mont(u64 a) const { return reduce(static_cast<u128>(a)); }
-
-  /// Montgomery product: a*b*2^-64 mod q (both operands in Montgomery form).
-  u64 mul(u64 a, u64 b) const { return reduce(static_cast<u128>(a) * b); }
-
- private:
-  u64 reduce(u128 t) const {
-    u64 m = static_cast<u64>(t) * qinv_neg_;
-    u128 tt = t + static_cast<u128>(m) * q_;
-    u64 r = static_cast<u64>(tt >> 64);
-    return r >= q_ ? r - q_ : r;
-  }
-
-  u64 q_ = 0;
-  u64 qinv_neg_ = 0;  // -q^{-1} mod 2^64
-  u64 r2_ = 0;        // 2^128 mod q
-};
 
 }  // namespace flash::hemath

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -29,8 +28,7 @@ bool detect_avx512() {
 }
 
 SimdLevel detect_level() {
-  return detail::resolve_level(std::getenv("FLASH_FORCE_SCALAR"),
-                               std::getenv("FLASH_FORCE_SIMD_LEVEL"), max_supported_level());
+  return detail::resolve_level(std::getenv("FLASH_FORCE_SIMD_LEVEL"), max_supported_level());
 }
 
 std::atomic<SimdLevel>& level_slot() {
@@ -82,13 +80,7 @@ SimdLevel clamp_to_supported(SimdLevel level) {
 
 namespace detail {
 
-SimdLevel resolve_level(const char* force_scalar, const char* force_level,
-                        SimdLevel max_supported) {
-  // FLASH_FORCE_SCALAR keeps its original semantics and wins: existing
-  // baseline scripts must not change meaning because a richer knob exists.
-  if (force_scalar != nullptr && std::strcmp(force_scalar, "0") != 0 && force_scalar[0] != '\0') {
-    return SimdLevel::kScalar;
-  }
+SimdLevel resolve_level(const char* force_level, SimdLevel max_supported) {
   if (force_level != nullptr && force_level[0] != '\0') {
     const std::optional<SimdLevel> parsed = parse_simd_level(force_level);
     if (!parsed.has_value()) {

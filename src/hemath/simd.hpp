@@ -5,10 +5,9 @@
 // same IEEE mul/add sequence with contraction disabled — so selecting a
 // level is purely a performance decision. The level is detected once at
 // first use:
-//   * FLASH_FORCE_SCALAR=1 in the environment pins the scalar fallback
-//     (baseline measurements, debugging);
-//   * FLASH_FORCE_SIMD_LEVEL={scalar,avx2,avx512} pins a specific level;
-//     any other value throws (a typo must not silently change the datapath),
+//   * FLASH_FORCE_SIMD_LEVEL={scalar,avx2,avx512} in the environment pins a
+//     specific level (scalar for baseline measurements and debugging); any
+//     other value throws (a typo must not silently change the datapath),
 //     and a forced level the CPU lacks degrades to the best supported level
 //     below it so the cross-level test tier runs on any machine;
 //   * otherwise the highest level the CPU reports is used;
@@ -65,12 +64,11 @@ std::optional<SimdLevel> parse_simd_level(std::string_view name);
 SimdLevel clamp_to_supported(SimdLevel level);
 
 namespace detail {
-/// Pure resolution of the detected level from the two env overrides — unit
-/// testable without mutating the process environment. `force_scalar` and
-/// `force_level` are the raw env values (null = unset). Throws
-/// std::invalid_argument when force_level is not scalar/avx2/avx512.
-SimdLevel resolve_level(const char* force_scalar, const char* force_level,
-                        SimdLevel max_supported);
+/// Pure resolution of the detected level from the env override — unit
+/// testable without mutating the process environment. `force_level` is the
+/// raw FLASH_FORCE_SIMD_LEVEL value (null = unset). Throws
+/// std::invalid_argument when it is not scalar/avx2/avx512.
+SimdLevel resolve_level(const char* force_level, SimdLevel max_supported);
 }  // namespace detail
 
 /// Scoped override for tests/benches. Requesting a level the CPU lacks

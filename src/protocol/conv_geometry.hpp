@@ -5,10 +5,11 @@
 // stride-1 HConv units: each live stride phase is an independent stride-1
 // sub-convolution (shares sum locally mod t, which is exact), and each
 // phase's output is covered by a grid of square tiles whose input patch
-// fits one polynomial. prepare(), run_stride1() and the pipeline certifier
-// (protocol/plan_certificate) all go through these helpers, so the unit
-// enumeration a certificate reasons about cannot drift from the units the
-// runner actually executes.
+// fits one polynomial. ConvRunner::prepare builds its plan from
+// enumerate_conv_units, the pipeline certifier (protocol/plan_certificate)
+// reasons about the same list, and run_stride1() walks the same tile_grid,
+// so the units a certificate covers cannot drift from the units the runner
+// actually executes.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +62,9 @@ struct ConvUnit {
 };
 
 /// Enumerate the units of a conv (in_c x in_h x in_w input, `weights`
-/// kernel, given stride/pad), in phase-major order. Mirrors
-/// ConvRunner::prepare exactly: same phases, same tile grids, same distinct
-/// patch shapes.
+/// kernel, given stride/pad), in phase-major order. ConvRunner::prepare
+/// builds one PreparedWeights entry per unit. Throws std::invalid_argument
+/// on stride 0 or in_c != weights.in_channels().
 std::vector<ConvUnit> enumerate_conv_units(std::size_t poly_n, std::size_t in_c,
                                            std::size_t in_h, std::size_t in_w,
                                            const tensor::Tensor4& weights, std::size_t stride,

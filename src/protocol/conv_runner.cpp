@@ -45,10 +45,10 @@ void add_cropped_channel(tensor::Tensor3& acc, const tensor::Tensor3& other, std
   }
 }
 
-// tile_grid / live_phases / phase_extent / kernel_phase live in
-// protocol/conv_geometry.{hpp,cpp}: prepare(), run_stride1() and the
-// pipeline certifier all share one decomposition, so a plan's (and a
-// certificate's) unit enumeration cannot drift from the execution's.
+// The decomposition lives in protocol/conv_geometry.{hpp,cpp}: prepare()
+// builds its plan from enumerate_conv_units, the list the pipeline
+// certifier reasons about, and run_stride1() walks the same tile_grid, so a
+// plan's (and a certificate's) units cannot drift from the execution's.
 
 }  // namespace
 
@@ -63,9 +63,10 @@ tensor::Tensor3 ConvRunnerResult::reconstruct(u64 t) const {
   return out;
 }
 
-ConvRunnerResult ConvRunner::run_stride1(const tensor::Tensor3& x, const tensor::Tensor4& weights,
-                                         std::uint64_t stream_base, const ConvPlan::Phase* phase) {
+ConvRunnerResult ConvRunner::run_stride1(const tensor::Tensor3& x, const ConvPlan::Phase& phase,
+                                         std::uint64_t stream_base) {
   const auto& p = protocol_.context().params();
+  const tensor::Tensor4& weights = phase.weights;
   const std::size_t kh = weights.kernel_h();
   const std::size_t kw = weights.kernel_w();
   const std::size_t out_h = x.height() - kh + 1;
@@ -93,15 +94,11 @@ ConvRunnerResult ConvRunner::run_stride1(const tensor::Tensor3& x, const tensor:
         }
       }
     }
-    const HConvProtocol::PreparedWeights* cached = nullptr;
-    if (phase != nullptr) {
-      const auto it = phase->tiles.find({patch_h, patch_w});
-      if (it == phase->tiles.end()) {
-        throw std::invalid_argument("ConvRunner: plan is missing a tile patch shape");
-      }
-      cached = it->second.get();
+    const auto it = phase.tiles.find({patch_h, patch_w});
+    if (it == phase.tiles.end()) {
+      throw std::invalid_argument("ConvRunner: plan is missing a tile patch shape");
     }
-    const HConvResult r = protocol_.run_stream(patch, weights, stream_base + i, cached);
+    const HConvResult r = protocol_.run_stream(patch, weights, stream_base + i, it->second.get());
     bytes_c2s.fetch_add(r.profile.bytes_client_to_server, std::memory_order_relaxed);
     bytes_s2c.fetch_add(r.profile.bytes_server_to_client, std::memory_order_relaxed);
     for (std::size_t m = 0; m < weights.out_channels(); ++m) {
@@ -120,15 +117,13 @@ ConvRunnerResult ConvRunner::run_stride1(const tensor::Tensor3& x, const tensor:
   return result;
 }
 
-ConvRunnerResult ConvRunner::run_padded(const tensor::Tensor3& padded,
-                                        const tensor::Tensor4& weights, std::size_t stride,
-                                        std::uint64_t stream_base, const ConvPlan* plan) {
-  if (stride == 1) {
-    return run_stride1(padded, weights, stream_base,
-                       plan != nullptr ? &plan->phases.front() : nullptr);
-  }
+ConvRunnerResult ConvRunner::run_padded(const tensor::Tensor3& padded, const ConvPlan& plan,
+                                        std::uint64_t stream_base) {
+  const std::size_t stride = plan.stride;
+  if (stride == 1) return run_stride1(padded, plan.phases.front(), stream_base);
 
   const auto& p = protocol_.context().params();
+  const tensor::Tensor4& weights = plan.weights;
   const std::size_t out_h = (padded.height() - weights.kernel_h()) / stride + 1;
   const std::size_t out_w = (padded.width() - weights.kernel_w()) / stride + 1;
 
@@ -139,16 +134,11 @@ ConvRunnerResult ConvRunner::run_padded(const tensor::Tensor3& padded,
   // Each live phase is an independent stride-1 sub-convolution, so they fan
   // out over the pool. Phase p owns the stream block
   // [stream_base + (p << 16), stream_base + ((p+1) << 16)) for its tiles.
-  const std::vector<PhaseDef> phases = live_phases(weights.kernel_h(), weights.kernel_w(), stride);
-
-  std::vector<ConvRunnerResult> phase_results(phases.size());
-  core::for_range(pool_, phases.size(), [&](std::size_t i) {
-    const PhaseDef& ph = phases[i];
-    const ConvPlan::Phase* planned = plan != nullptr ? &plan->phases[i] : nullptr;
-    const tensor::Tensor4 wp =
-        planned != nullptr ? planned->weights : kernel_phase(weights, stride, ph.a, ph.b);
+  std::vector<ConvRunnerResult> phase_results(plan.phases.size());
+  core::for_range(pool_, plan.phases.size(), [&](std::size_t i) {
+    const ConvPlan::Phase& ph = plan.phases[i];
     const tensor::Tensor3 xp = subsample(padded, stride, ph.a, ph.b);
-    phase_results[i] = run_stride1(xp, wp, stream_base + (ph.index << 16), planned);
+    phase_results[i] = run_stride1(xp, ph, stream_base + (ph.index << 16));
   });
 
   // Crop each phase to the strided output extent and sum its shares (mod t)
@@ -171,22 +161,14 @@ ConvRunnerResult ConvRunner::run_padded(const tensor::Tensor3& padded,
 
 ConvRunnerResult ConvRunner::run(const tensor::Tensor3& x, const tensor::Tensor4& weights,
                                  std::size_t stride, std::size_t pad, std::uint64_t stream_base) {
-  if (stride == 0) throw std::invalid_argument("ConvRunner: stride must be >= 1");
-  return run_padded(pad_input(x, pad), weights, stride, stream_base, nullptr);
+  return run(x, *prepare(x.channels(), x.height(), x.width(), weights, stride, pad), stream_base);
 }
 
 std::shared_ptr<const ConvPlan> ConvRunner::prepare(std::size_t in_c, std::size_t in_h,
                                                     std::size_t in_w,
                                                     const tensor::Tensor4& weights,
                                                     std::size_t stride, std::size_t pad) const {
-  if (stride == 0) throw std::invalid_argument("ConvRunner: stride must be >= 1");
-  if (in_c != weights.in_channels()) {
-    throw std::invalid_argument("ConvRunner: plan channels do not match the weights");
-  }
   const auto& p = protocol_.context().params();
-  const std::size_t padded_h = in_h + 2 * pad;
-  const std::size_t padded_w = in_w + 2 * pad;
-
   auto plan = std::make_shared<ConvPlan>();
   plan->in_c = in_c;
   plan->in_h = in_h;
@@ -195,33 +177,19 @@ std::shared_ptr<const ConvPlan> ConvRunner::prepare(std::size_t in_c, std::size_
   plan->pad = pad;
   plan->weights = weights;
 
-  if (stride == 1) {
-    ConvPlan::Phase phase;
-    phase.weights = weights;
-    plan->phases.push_back(std::move(phase));
-  } else {
-    for (const PhaseDef& ph : live_phases(weights.kernel_h(), weights.kernel_w(), stride)) {
+  // The certifier's unit list, phase-major: one spectrum set per distinct
+  // tile patch shape of each phase (interior tiles all share one entry).
+  for (const ConvUnit& u : enumerate_conv_units(p.n, in_c, in_h, in_w, weights, stride, pad)) {
+    if (plan->phases.empty() || plan->phases.back().index != u.phase.index) {
       ConvPlan::Phase phase;
-      phase.a = ph.a;
-      phase.b = ph.b;
-      phase.index = ph.index;
-      phase.weights = kernel_phase(weights, stride, ph.a, ph.b);
+      phase.a = u.phase.a;
+      phase.b = u.phase.b;
+      phase.index = u.phase.index;
+      phase.weights = u.weights;
       plan->phases.push_back(std::move(phase));
     }
-  }
-
-  // Walk the exact tile grid run_stride1 will walk and prepare one spectrum
-  // set per distinct patch shape (interior tiles all share one entry).
-  for (ConvPlan::Phase& phase : plan->phases) {
-    const std::size_t kh = phase.weights.kernel_h();
-    const std::size_t kw = phase.weights.kernel_w();
-    const std::size_t h = stride == 1 ? padded_h : phase_extent(padded_h, stride, phase.a);
-    const std::size_t w = stride == 1 ? padded_w : phase_extent(padded_w, stride, phase.b);
-    for (const TileTask& tk : tile_grid(p.n, h, w, kh, kw)) {
-      const std::pair<std::size_t, std::size_t> shape{tk.th + kh - 1, tk.tw + kw - 1};
-      if (phase.tiles.contains(shape)) continue;
-      phase.tiles[shape] = protocol_.prepare_weights(shape.first, shape.second, phase.weights);
-    }
+    plan->phases.back().tiles[{u.patch_h, u.patch_w}] =
+        protocol_.prepare_weights(u.patch_h, u.patch_w, u.weights);
   }
   return plan;
 }
@@ -231,25 +199,7 @@ ConvRunnerResult ConvRunner::run(const tensor::Tensor3& x, const ConvPlan& plan,
   if (x.channels() != plan.in_c || x.height() != plan.in_h || x.width() != plan.in_w) {
     throw std::invalid_argument("ConvRunner: activation shape does not match the plan");
   }
-  return run_padded(pad_input(x, plan.pad), plan.weights, plan.stride, stream_base, &plan);
-}
-
-std::vector<ConvRunnerResult> ConvRunner::run_batch(std::span<const tensor::Tensor3> xs,
-                                                    const ConvPlan& plan,
-                                                    std::span<const std::uint64_t> stream_bases) {
-  if (xs.size() != stream_bases.size()) {
-    throw std::invalid_argument("ConvRunner: batch activations/streams size mismatch");
-  }
-  std::vector<ConvRunnerResult> results;
-  results.reserve(xs.size());
-  // Requests stay sequential (each one fans its own units over the pool and
-  // owns its stream block); the cross-request win is the warm plan and the
-  // warm per-thread transform state, and each unit's own transforms already
-  // run batched (see HConvProtocol::run_stream).
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    results.push_back(run(xs[i], plan, stream_bases[i]));
-  }
-  return results;
+  return run_padded(pad_input(x, plan.pad), plan, stream_base);
 }
 
 }  // namespace flash::protocol

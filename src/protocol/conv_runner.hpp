@@ -69,50 +69,40 @@ class ConvRunner {
   }
 
   /// General conv2d over the protocol: any stride >= 1, any padding, spatial
-  /// tiling as needed. `stream_base` offsets every HConv unit's RNG stream:
-  /// two runs with distinct bases draw disjoint mask/encryption streams
-  /// (bases must be >= 2^32 apart; serve uses request index << 32), while
-  /// the same base reproduces the same shares bit-for-bit.
+  /// tiling as needed. Prepares a plan for this one call and runs it, so it
+  /// is run(x, *prepare(...), stream_base) with the weight transforms on the
+  /// request's critical path. `stream_base` offsets every HConv unit's RNG
+  /// stream: two runs with distinct bases draw disjoint mask/encryption
+  /// streams (bases must be >= 2^32 apart; serve uses request index << 32),
+  /// while the same base reproduces the same shares bit-for-bit.
   ConvRunnerResult run(const tensor::Tensor3& x, const tensor::Tensor4& weights,
                        std::size_t stride, std::size_t pad, std::uint64_t stream_base = 0);
 
   /// Precompute the weight plan for activations of shape (in_c, in_h, in_w):
-  /// phase kernels plus per-tile-shape weight spectra. Requests served with
-  /// the plan skip the dominant weight-transform phase yet produce bit-
-  /// identical results to plan-less runs (the spectra are deterministic).
+  /// phase kernels plus per-tile-shape weight spectra, one entry per unit of
+  /// enumerate_conv_units. Requests served with the plan skip the dominant
+  /// weight-transform phase; the spectra are deterministic, so every plan
+  /// of the same layer gives bit-identical results. Throws
+  /// std::invalid_argument on stride 0 or in_c != weights.in_channels().
   std::shared_ptr<const ConvPlan> prepare(std::size_t in_c, std::size_t in_h, std::size_t in_w,
                                           const tensor::Tensor4& weights, std::size_t stride,
                                           std::size_t pad) const;
 
   /// Run against a prepared plan. x must have the plan's shape
-  /// (std::invalid_argument otherwise). Bit-identical to
-  /// run(x, weights, stride, pad, stream_base) with the plan's weights.
+  /// (std::invalid_argument otherwise). Within each HConv unit, decryption
+  /// runs the batched SoA NTT over groups of output ciphertexts and
+  /// encryption's inverse pair is one batched call.
   ConvRunnerResult run(const tensor::Tensor3& x, const ConvPlan& plan,
                        std::uint64_t stream_base = 0);
 
-  /// Run a same-plan batch: result[i] is bit-identical to
-  /// run(xs[i], plan, stream_bases[i]). Requires xs.size() ==
-  /// stream_bases.size(). Requests run one after another, each fanning its
-  /// HConv units over the pool against the warm plan's spectra. Within a
-  /// unit, decryption runs the batched SoA NTT over groups of output
-  /// ciphertexts and encryption's inverse pair is one batched call, while
-  /// encryption's forward transform of u is a single-polynomial transform
-  /// (scratch from the worker's thread-local arena — zero steady-state
-  /// allocations in the transform layer). This is the call the serving
-  /// layer's plan-batch dispatch drains into.
-  std::vector<ConvRunnerResult> run_batch(std::span<const tensor::Tensor3> xs,
-                                          const ConvPlan& plan,
-                                          std::span<const std::uint64_t> stream_bases);
-
  private:
-  /// Stride-1 valid conv with spatial tiling; HConv unit i draws RNG stream
-  /// stream_base + i. `phase` (optional) supplies prepared spectra per tile
-  /// patch shape.
-  ConvRunnerResult run_stride1(const tensor::Tensor3& x, const tensor::Tensor4& weights,
-                               std::uint64_t stream_base, const ConvPlan::Phase* phase = nullptr);
+  /// Stride-1 valid conv with spatial tiling against one plan phase; HConv
+  /// unit i draws RNG stream stream_base + i.
+  ConvRunnerResult run_stride1(const tensor::Tensor3& x, const ConvPlan::Phase& phase,
+                               std::uint64_t stream_base);
 
-  ConvRunnerResult run_padded(const tensor::Tensor3& padded, const tensor::Tensor4& weights,
-                              std::size_t stride, std::uint64_t stream_base, const ConvPlan* plan);
+  ConvRunnerResult run_padded(const tensor::Tensor3& padded, const ConvPlan& plan,
+                              std::uint64_t stream_base);
 
   HConvProtocol& protocol_;
   core::ThreadPool* pool_ = nullptr;

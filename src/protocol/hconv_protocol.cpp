@@ -19,8 +19,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 // derive(seed, stream) and then split per purpose and per task index, so
 // the draw a task makes never depends on scheduling order.
 constexpr std::uint64_t kStreamShare = 0;
-constexpr std::uint64_t kStreamEncrypt = 1;  // + tile (or chunk) index
-constexpr std::uint64_t kStreamMask = 2;     // + output channel index
+constexpr std::uint64_t kStreamEncrypt = 1;  // + activation polynomial index
+constexpr std::uint64_t kStreamMask = 2;     // + output index
 
 std::uint64_t substream(std::uint64_t run_seed, std::uint64_t purpose, std::uint64_t index) {
   return hemath::derive_stream_seed(run_seed, (purpose << 32) + index);
@@ -53,8 +53,7 @@ HConvProtocol::HConvProtocol(const bfv::BfvContext& ctx, bfv::PolyMulBackend bac
       keygen_sampler_(seed),
       keygen_(ctx_, keygen_sampler_),
       sk_(keygen_.secret_key()),
-      pk_(keygen_.public_key(sk_)),
-      pk_prepared_(bfv::prepare_public_key(ctx, pk_)),
+      pk_prepared_(bfv::prepare_public_key(ctx, keygen_.public_key(sk_))),
       decryptor_(ctx_, sk_),
       evaluator_(ctx_, backend, std::move(approx_config)),
       pool_(pool),
@@ -80,9 +79,13 @@ std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_wei
   prepared->kh = weights.kernel_h();
   prepared->kw = weights.kernel_w();
   prepared->spec.assign(out_channels, std::vector<bfv::PlainSpectrum>(tiles));
-  // Same (m, tile) fan-out — and the same encode + transform per pair — as
-  // the inline weight loop of run_stream, so cached and uncached spectra are
-  // bit-identical.
+  // Weight transforms (the FLASH-accelerated hot loop), embarrassingly
+  // parallel over (output channel, tile) pairs. Workers rely on two
+  // per-thread/per-process guarantees from the transform layer: the first
+  // touch of a transform config builds its tables outside the cache shard
+  // lock (concurrent first-touches used to convoy the pool), and each
+  // worker's transform scratch comes from its own thread-local arena, so the
+  // steady-state loop does not allocate.
   core::for_range(pool_, out_channels * tiles, [&](std::size_t idx) {
     const std::size_t m = idx / tiles;
     const std::size_t tile = idx % tiles;
@@ -96,24 +99,28 @@ std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_wei
 
 HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Tensor4& weights,
                                       std::uint64_t stream, const PreparedWeights* cached) {
-  const auto& p = ctx_.params();
-  if (cached != nullptr && !cached->matches(x, weights)) {
+  HConvResult result;
+  const bfv::PolyMulCounters ops_before = evaluator_.engine().counters();
+  std::shared_ptr<const PreparedWeights> prepared;
+  if (cached == nullptr) {
+    const auto t0 = std::chrono::steady_clock::now();
+    prepared = prepare_weights(x.height(), x.width(), weights);
+    cached = prepared.get();
+    result.profile.weight_transform_s += seconds_since(t0);
+  }
+  if (!cached->matches(x, weights)) {
     throw std::invalid_argument("HConvProtocol: prepared weights do not match this request");
   }
-  encoding::ConvEncoder enc(p.n, x.channels(), x.height(), x.width(), weights.kernel_h(), weights.kernel_w());
+  const auto& p = ctx_.params();
+  encoding::ConvEncoder enc(p.n, x.channels(), x.height(), x.width(), weights.kernel_h(),
+                            weights.kernel_w());
   const auto& geo = enc.geometry();
-  const std::size_t tiles = geo.channel_tiles();
-  const std::size_t out_channels = weights.out_channels();
-  const std::uint64_t run_seed = hemath::derive_stream_seed(seed_ ^ 0x9e3779b97f4a7c15ULL, stream);
-
-  HConvResult result;
   result.out_h = geo.out_h();
   result.out_w = geo.out_w();
-  const bfv::PolyMulCounters ops_before = evaluator_.engine().counters();
-
-  auto t0 = std::chrono::steady_clock::now();
 
   // --- Sharing: both parties obtain additive shares of the activation.
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t run_seed = hemath::derive_stream_seed(seed_ ^ 0x9e3779b97f4a7c15ULL, stream);
   // flash-lint: allow(raw-rng): substream() derives the seed via derive_stream_seed
   std::mt19937_64 share_rng(substream(run_seed, kStreamShare, 0));
   const SharedVector xs = share_tensor(x, p.t, share_rng);
@@ -125,197 +132,159 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   }
   result.profile.share_encode_s += seconds_since(t0);
 
-  // --- Client: encrypt its encoded share, one ciphertext per channel tile.
-  // Each tile encrypts under its own derived sampler, so the ciphertext a
-  // tile produces is the same whether the loop runs serial or parallel.
-  t0 = std::chrono::steady_clock::now();
-  std::vector<bfv::Ciphertext> cts(tiles, ctx_.make_ciphertext());
-  core::for_range(pool_, tiles, [&](std::size_t tile) {
+  // One ciphertext per channel tile; every output channel's product sits at
+  // the same positions.
+  const std::vector<std::size_t> positions = enc.output_positions();
+  run_round(
+      geo.channel_tiles(), [&](std::size_t tile) { return enc.encode_activation(x_client, tile); },
+      [&](std::size_t tile) { return enc.encode_activation(x_server, tile); }, cached->spec,
+      [&](std::size_t) { return std::span<const std::size_t>(positions); }, run_seed, result);
+
+  result.ops = evaluator_.engine().counters() - ops_before;
+  return result;
+}
+
+void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
+                              const EncodeFn& server_poly,
+                              const std::vector<std::vector<bfv::PlainSpectrum>>& spec,
+                              const PositionsFn& positions, std::uint64_t run_seed,
+                              HConvResult& result) const {
+  const auto& p = ctx_.params();
+  const std::size_t outputs = spec.size();
+  const auto to_plaintext = [&](const std::vector<i64>& coeffs) {
     bfv::Plaintext pt = ctx_.make_plaintext();
-    const std::vector<i64> coeffs = enc.encode_activation(x_client, tile);
     for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = static_cast<u64>(coeffs[i]) % p.t;
-    hemath::Sampler tile_sampler(substream(run_seed, kStreamEncrypt, tile));
-    bfv::Encryptor encryptor(ctx_, tile_sampler);
-    cts[tile] = encryptor.encrypt(pt, pk_prepared_);
+    return pt;
+  };
+
+  // --- Client: encrypt its encoded share, one ciphertext per polynomial.
+  // Each polynomial encrypts under its own derived sampler, so the
+  // ciphertext it produces is the same whether the loop runs serial or
+  // parallel.
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<bfv::Ciphertext> cts(polys, ctx_.make_ciphertext());
+  core::for_range(pool_, polys, [&](std::size_t i) {
+    hemath::Sampler sampler(substream(run_seed, kStreamEncrypt, i));
+    bfv::Encryptor encryptor(ctx_, sampler);
+    cts[i] = encryptor.encrypt(to_plaintext(client_poly(i)), pk_prepared_);
   });
-  result.profile.bytes_client_to_server += tiles * ciphertext_bytes(p);
+  result.profile.bytes_client_to_server += polys * ciphertext_bytes(p);
   result.profile.encrypt_s += seconds_since(t0);
 
   // --- Server: fold in its own share (ct ⊞ {x}^S).
   t0 = std::chrono::steady_clock::now();
-  core::for_range(pool_, tiles, [&](std::size_t tile) {
-    bfv::Plaintext pt = ctx_.make_plaintext();
-    const std::vector<i64> coeffs = enc.encode_activation(x_server, tile);
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = static_cast<u64>(coeffs[i]) % p.t;
-    evaluator_.add_plain_inplace(cts[tile], pt);
+  core::for_range(pool_, polys, [&](std::size_t i) {
+    evaluator_.add_plain_inplace(cts[i], to_plaintext(server_poly(i)));
   });
   result.profile.share_encode_s += seconds_since(t0);
 
-  // --- Server: weight transforms (the FLASH-accelerated hot loop),
-  // embarrassingly parallel over (output channel, tile) pairs. Workers rely
-  // on two per-thread/per-process guarantees from the transform layer: the
-  // first touch of a transform config builds its tables outside the cache
-  // shard lock (concurrent first-touches here used to convoy the pool), and
-  // each worker's transform scratch comes from its own thread-local arena,
-  // so the steady-state tile loop does not allocate.
-  t0 = std::chrono::steady_clock::now();
-  std::vector<std::vector<bfv::PlainSpectrum>> wspec_local;
-  if (cached == nullptr) {
-    wspec_local.assign(out_channels, std::vector<bfv::PlainSpectrum>(tiles));
-    core::for_range(pool_, out_channels * tiles, [&](std::size_t idx) {
-      const std::size_t m = idx / tiles;
-      const std::size_t tile = idx % tiles;
-      bfv::Plaintext pt = ctx_.make_plaintext();
-      const std::vector<i64> coeffs = enc.encode_weight(weights, m, tile);
-      for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = hemath::from_signed(coeffs[i], p.t);
-      wspec_local[m][tile] = evaluator_.transform_plain(pt);
-    });
-    result.profile.weight_transform_s += seconds_since(t0);
-  }
-  const std::vector<std::vector<bfv::PlainSpectrum>>& wspec =
-      cached != nullptr ? cached->spec : wspec_local;
-
   // --- Server: ct ⊠ w through the spectral pipeline of Fig. 4(b): each
-  // ciphertext is transformed once (shared across all output channels),
-  // channel tiles accumulate point-wise, and one inverse transform produces
-  // each output ciphertext. Each output channel owns its accumulator, so
-  // the channel loop parallelizes without sharing mutable state.
+  // ciphertext is transformed once (shared across all outputs), its
+  // products accumulate point-wise, and one inverse transform produces each
+  // output ciphertext. Each output owns its accumulator, so the output loop
+  // parallelizes without sharing mutable state.
   t0 = std::chrono::steady_clock::now();
-  std::vector<bfv::Evaluator::CiphertextSpectrum> ct_specs(tiles);
-  core::for_range(pool_, tiles, [&](std::size_t tile) {
-    ct_specs[tile] = evaluator_.transform_ciphertext(cts[tile]);
-  });
-  std::vector<bfv::Ciphertext> acc(out_channels, ctx_.make_ciphertext());
-  core::for_range(pool_, out_channels, [&](std::size_t m) {
+  std::vector<bfv::Evaluator::CiphertextSpectrum> ct_specs(polys);
+  core::for_range(pool_, polys,
+                  [&](std::size_t i) { ct_specs[i] = evaluator_.transform_ciphertext(cts[i]); });
+  std::vector<bfv::Ciphertext> acc(outputs, ctx_.make_ciphertext());
+  core::for_range(pool_, outputs, [&](std::size_t m) {
     bfv::Evaluator::CiphertextAccumulator accum;
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      evaluator_.multiply_accumulate(ct_specs[tile], wspec[m][tile], accum);
+    for (std::size_t i = 0; i < polys; ++i) {
+      evaluator_.multiply_accumulate(ct_specs[i], spec[m][i], accum);
     }
     acc[m] = evaluator_.finalize(accum);
   });
   result.profile.cipher_transform_mul_s += seconds_since(t0);
 
   // --- Server: mask (⊟ s) and "send" back; keep its own share. One derived
-  // mask stream per output channel (scheduling-independent mask values).
+  // mask stream per output (scheduling-independent mask values).
   t0 = std::chrono::steady_clock::now();
-  const std::vector<std::size_t> positions = enc.output_positions();
-  result.server_share.resize(out_channels);
-  core::for_range(pool_, out_channels, [&](std::size_t m) {
+  result.server_share.resize(outputs);
+  core::for_range(pool_, outputs, [&](std::size_t m) {
     hemath::Sampler mask_sampler(substream(run_seed, kStreamMask, m));
     bfv::Plaintext mask = ctx_.make_plaintext();
     mask.poly = mask_sampler.uniform_poly(p.t, p.n);
     evaluator_.sub_plain_inplace(acc[m], mask);
+    const std::span<const std::size_t> pos = positions(m);
     auto& share = result.server_share[m];
-    share.reserve(positions.size());
-    for (std::size_t pos : positions) share.push_back(mask.poly[pos]);
+    share.reserve(pos.size());
+    for (std::size_t i : pos) share.push_back(mask.poly[i]);
   });
-  result.profile.bytes_server_to_client += out_channels * ciphertext_bytes(p);
+  result.profile.bytes_server_to_client += outputs * ciphertext_bytes(p);
   result.profile.mask_s += seconds_since(t0);
 
   // --- Client: decrypt and extract. The output ciphertexts split into
   // groups of one SoA width, so each group's NTTs run as one batched sweep;
-  // the groups fan out over the pool and each writes only its own channels'
+  // the groups fan out over the pool and each writes only its own outputs'
   // shares. Every ciphertext decrypts independently, so the shares are
   // bit-identical to a serial loop.
   t0 = std::chrono::steady_clock::now();
   const std::size_t group = hemath::simd_batch::active_group_lanes();
-  result.client_share.resize(out_channels);
-  core::for_range(pool_, (out_channels + group - 1) / group, [&](std::size_t g) {
+  result.client_share.resize(outputs);
+  core::for_range(pool_, (outputs + group - 1) / group, [&](std::size_t g) {
     const std::size_t first = g * group;
-    const std::size_t count = std::min(group, out_channels - first);
+    const std::size_t count = std::min(group, outputs - first);
     const std::vector<bfv::Plaintext> decs =
         decryptor_.decrypt_batch(std::span<const bfv::Ciphertext>(acc).subspan(first, count));
     for (std::size_t k = 0; k < count; ++k) {
+      const std::span<const std::size_t> pos = positions(first + k);
       auto& share = result.client_share[first + k];
-      share.reserve(positions.size());
-      for (std::size_t pos : positions) share.push_back(decs[k].poly[pos]);
+      share.reserve(pos.size());
+      for (std::size_t i : pos) share.push_back(decs[k].poly[i]);
     }
   });
   result.profile.decrypt_s += seconds_since(t0);
-
-  result.ops = evaluator_.engine().counters() - ops_before;
-  return result;
 }
-
 
 HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
                                                       const std::vector<i64>& w_row_major,
                                                       std::size_t out_features) {
   const auto& p = ctx_.params();
   encoding::MatVecEncoder enc(p.n, x.size(), out_features);
-  MatVecResult result;
+  const std::size_t chunks = enc.poly_count();
+  HConvResult round;
+
+  // Server: one weight spectrum per matrix chunk, each multiplying the one
+  // activation ciphertext.
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::vector<bfv::PlainSpectrum>> spec(chunks, std::vector<bfv::PlainSpectrum>(1));
+  std::vector<std::vector<std::size_t>> positions(chunks);
+  core::for_range(pool_, chunks, [&](std::size_t chunk) {
+    bfv::Plaintext pt = ctx_.make_plaintext();
+    const std::vector<i64> coeffs = enc.encode_matrix(w_row_major, chunk);
+    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = hemath::from_signed(coeffs[i], p.t);
+    spec[chunk][0] = evaluator_.transform_plain(pt);
+    positions[chunk] = enc.output_positions(chunk);
+  });
+  round.profile.weight_transform_s += seconds_since(t0);
+
+  t0 = std::chrono::steady_clock::now();
   const std::uint64_t run_seed =
       hemath::derive_stream_seed(seed_ ^ 0xd1b54a32d192ed03ULL,
                                  next_stream_.fetch_add(1, std::memory_order_relaxed));
-
-  auto t0 = std::chrono::steady_clock::now();
   // flash-lint: allow(raw-rng): substream() derives the seed via derive_stream_seed
   std::mt19937_64 share_rng(substream(run_seed, kStreamShare, 0));
   const SharedVector xs = share(x, p.t, share_rng);
-  result.profile.share_encode_s += seconds_since(t0);
+  const std::vector<i64> x_client(xs.client.begin(), xs.client.end());
+  const std::vector<i64> x_server(xs.server.begin(), xs.server.end());
+  round.profile.share_encode_s += seconds_since(t0);
 
-  // Client: encode + encrypt its share (one polynomial; the vector fits by
-  // MatVecEncoder's constructor contract).
-  t0 = std::chrono::steady_clock::now();
-  std::vector<i64> client_vals(x.size()), server_vals(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    client_vals[i] = static_cast<i64>(xs.client[i]);
-    server_vals[i] = static_cast<i64>(xs.server[i]);
-  }
-  bfv::Plaintext pt_c = ctx_.make_plaintext();
-  const std::vector<i64> enc_c = enc.encode_vector(client_vals);
-  for (std::size_t i = 0; i < p.n; ++i) pt_c.poly[i] = static_cast<u64>(enc_c[i]) % p.t;
-  hemath::Sampler enc_sampler(substream(run_seed, kStreamEncrypt, 0));
-  bfv::Encryptor encryptor(ctx_, enc_sampler);
-  bfv::Ciphertext ct = encryptor.encrypt(pt_c, pk_prepared_);
-  result.profile.bytes_client_to_server += ciphertext_bytes(p);
-  result.profile.encrypt_s += seconds_since(t0);
+  // The vector fits one polynomial by MatVecEncoder's constructor contract.
+  run_round(
+      1, [&](std::size_t) { return enc.encode_vector(x_client); },
+      [&](std::size_t) { return enc.encode_vector(x_server); }, spec,
+      [&](std::size_t chunk) { return std::span<const std::size_t>(positions[chunk]); }, run_seed,
+      round);
 
-  // Server: fold in its share.
-  t0 = std::chrono::steady_clock::now();
-  bfv::Plaintext pt_s = ctx_.make_plaintext();
-  const std::vector<i64> enc_s = enc.encode_vector(server_vals);
-  for (std::size_t i = 0; i < p.n; ++i) pt_s.poly[i] = static_cast<u64>(enc_s[i]) % p.t;
-  evaluator_.add_plain_inplace(ct, pt_s);
-  result.profile.share_encode_s += seconds_since(t0);
-
-  // Server: matrix chunks through the spectral pipeline, mask, extract.
-  // Chunks are independent (the ciphertext spectrum is shared read-only and
-  // each chunk has its own mask stream), so they fan out over the pool;
-  // per-chunk shares are concatenated in chunk order afterwards.
-  t0 = std::chrono::steady_clock::now();
-  const bfv::Evaluator::CiphertextSpectrum ct_spec = evaluator_.transform_ciphertext(ct);
-  const std::size_t chunks = enc.poly_count();
-  std::vector<std::vector<u64>> chunk_server(chunks), chunk_client(chunks);
-  core::for_range(pool_, chunks, [&](std::size_t chunk) {
-    bfv::Plaintext ptw = ctx_.make_plaintext();
-    const std::vector<i64> wv = enc.encode_matrix(w_row_major, chunk);
-    for (std::size_t i = 0; i < p.n; ++i) ptw.poly[i] = hemath::from_signed(wv[i], p.t);
-    const bfv::PlainSpectrum wspec = evaluator_.transform_plain(ptw);
-
-    bfv::Evaluator::CiphertextAccumulator accum;
-    evaluator_.multiply_accumulate(ct_spec, wspec, accum);
-    bfv::Ciphertext out = evaluator_.finalize(accum);
-
-    hemath::Sampler mask_sampler(substream(run_seed, kStreamMask, chunk));
-    bfv::Plaintext mask = ctx_.make_plaintext();
-    mask.poly = mask_sampler.uniform_poly(p.t, p.n);
-    evaluator_.sub_plain_inplace(out, mask);
-
-    const bfv::Plaintext dec = decryptor_.decrypt(out);
-    for (std::size_t pos : enc.output_positions(chunk)) {
-      chunk_server[chunk].push_back(mask.poly[pos]);
-      chunk_client[chunk].push_back(dec.poly[pos]);
-    }
-  });
+  MatVecResult result;
+  result.profile = round.profile;
   for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    result.server_share.insert(result.server_share.end(), chunk_server[chunk].begin(),
-                               chunk_server[chunk].end());
-    result.client_share.insert(result.client_share.end(), chunk_client[chunk].begin(),
-                               chunk_client[chunk].end());
+    result.client_share.insert(result.client_share.end(), round.client_share[chunk].begin(),
+                               round.client_share[chunk].end());
+    result.server_share.insert(result.server_share.end(), round.server_share[chunk].begin(),
+                               round.server_share[chunk].end());
   }
-  result.profile.bytes_server_to_client += chunks * ciphertext_bytes(p);
-  result.profile.cipher_transform_mul_s += seconds_since(t0);
   result.client_share.resize(out_features);
   result.server_share.resize(out_features);
   return result;

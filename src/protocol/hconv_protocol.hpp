@@ -14,7 +14,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 
 #include "bfv/encrypt.hpp"
 #include "bfv/evaluator.hpp"
@@ -70,7 +72,7 @@ class HConvProtocol {
   struct PreparedWeights {
     std::size_t in_channels = 0, in_h = 0, in_w = 0;  // activation geometry
     std::size_t out_channels = 0, kh = 0, kw = 0;     // weight geometry
-    /// spec[m][tile] — exactly the wspec the non-cached path computes.
+    /// spec[m][tile]: output channel m's weight spectrum against tile.
     std::vector<std::vector<bfv::PlainSpectrum>> spec;
 
     bool matches(const tensor::Tensor3& x, const tensor::Tensor4& w) const {
@@ -103,13 +105,15 @@ class HConvProtocol {
   /// a pool (ConvRunner) assign ids deterministically per task, making the
   /// parallel result bit-identical to the serial one.
   ///
-  /// `cached` (optional) supplies the weight spectra from prepare_weights();
-  /// it must match (x, weights) geometry (std::invalid_argument otherwise).
-  /// The transform of the weight values themselves is deterministic, so a
-  /// cached run is bit-identical to an uncached one — the cache only moves
-  /// the weight_transform phase out of the request's critical path (its
-  /// profile entry reads 0 and its engine ops are attributed to
-  /// prepare_weights' caller).
+  /// Every run multiplies against prepared weights. `cached` supplies them
+  /// from prepare_weights(); without it the call prepares them itself,
+  /// timed as weight_transform_s and counted in the result's ops. Either
+  /// way they must match (x, weights) geometry (std::invalid_argument
+  /// otherwise). The weight transform is deterministic, so a cached run is
+  /// bit-identical to an uncached one — the cache only moves the
+  /// weight_transform phase out of the request's critical path (its profile
+  /// entry reads 0 and its engine ops are attributed to prepare_weights'
+  /// caller).
   HConvResult run_stream(const tensor::Tensor3& x, const tensor::Tensor4& weights,
                          std::uint64_t stream, const PreparedWeights* cached = nullptr);
 
@@ -118,8 +122,10 @@ class HConvProtocol {
   std::shared_ptr<const PreparedWeights> prepare_weights(std::size_t in_h, std::size_t in_w,
                                                          const tensor::Tensor4& weights) const;
 
-  /// Fully-connected layer: y = W x over the same one-round protocol, using
-  /// the matrix-vector coefficient encoding (Table IV's FC head).
+  /// Fully-connected layer: y = W x over the same one-round protocol and the
+  /// same round body as a conv, using the matrix-vector coefficient encoding
+  /// (Table IV's FC head): one activation polynomial, one output per matrix
+  /// chunk. Each call consumes one RNG stream id from the internal counter.
   struct MatVecResult {
     std::vector<u64> client_share;  // mod t, length out_features
     std::vector<u64> server_share;
@@ -134,13 +140,29 @@ class HConvProtocol {
   const bfv::BfvContext& context() const { return ctx_; }
 
  private:
+  /// Coefficients of activation polynomial i, for one party's share.
+  using EncodeFn = std::function<std::vector<i64>(std::size_t)>;
+  /// Where output m's values sit in its product polynomial.
+  using PositionsFn = std::function<std::span<const std::size_t>(std::size_t)>;
+
+  /// The round both conv and FC layers run (Fig. 1 with Fig. 4(b)'s
+  /// dataflow): the client encrypts its `polys` activation polynomials, the
+  /// server folds in its share, transforms each ciphertext once,
+  /// accumulates spec[m][i] over i for each output m, inverse-transforms
+  /// and masks it; the client decrypts in SoA groups and both parties
+  /// extract their shares at positions(m). Fills result's shares and byte
+  /// counts and adds to its phase timers.
+  void run_round(std::size_t polys, const EncodeFn& client_poly, const EncodeFn& server_poly,
+                 const std::vector<std::vector<bfv::PlainSpectrum>>& spec,
+                 const PositionsFn& positions, std::uint64_t run_seed,
+                 HConvResult& result) const;
+
   const bfv::BfvContext& ctx_;
   std::uint64_t seed_;
   hemath::Sampler keygen_sampler_;  // consumed at construction only
   bfv::KeyGenerator keygen_;
   bfv::SecretKey sk_;
-  bfv::PublicKey pk_;
-  bfv::PreparedPublicKey pk_prepared_;  // NTT-domain pk; encrypt fast path
+  bfv::PreparedPublicKey pk_prepared_;  // the client's public key, NTT domain
   bfv::Decryptor decryptor_;
   bfv::Evaluator evaluator_;
   core::ThreadPool* pool_ = nullptr;        // non-owning

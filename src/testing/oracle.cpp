@@ -38,6 +38,15 @@ std::string coeff_mismatch(std::size_t i, u64 got, u64 want) {
   return out.str();
 }
 
+/// ct x w through the engine's served pipeline: one cipher transform, one
+/// multiply-accumulate, one inverse.
+hemath::Poly product(const bfv::PolyMulEngine& engine, const hemath::Poly& ct,
+                     const bfv::PlainSpectrum& w) {
+  bfv::SpectralAccumulator acc;
+  engine.multiply_accumulate(engine.transform_cipher_spectrum(ct), w, acc);
+  return engine.finalize(acc);
+}
+
 /// Degrade the CSD twiddle quantization to a single digit of depth 2 — far
 /// outside any sane design point, but structurally the same arithmetic.
 void inject_twiddle_fault(fft::FxpFftConfig& config) {
@@ -58,7 +67,7 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
 
   // Reference: the exact NTT engine (what SEAL/F1/CHAM compute).
   const bfv::PolyMulEngine ntt_engine(ctx, bfv::PolyMulBackend::kNtt);
-  const hemath::Poly ref = ntt_engine.multiply(ct, ntt_engine.transform_plain(pt));
+  const hemath::Poly ref = product(ntt_engine, ct, ntt_engine.transform_plain(pt));
 
   // Weight lifted to signed representatives mod q (the engines' lift).
   std::vector<u64> w_lifted(n);
@@ -155,25 +164,11 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
       }
       const hemath::Poly ct_poly2(pp.q, ct_in);
 
-      const bfv::PlainSpectrum w_pow2 = pow2_engine.transform_plain(pt2);
-      const hemath::Poly out = pow2_engine.multiply(ct_poly2, w_pow2);
+      const hemath::Poly out = product(pow2_engine, ct_poly2, pow2_engine.transform_plain(pt2));
       for (std::size_t i = 0; i < n; ++i) {
         if (out[i] != sb[i]) {
           return fail("pow2-vs-schoolbook",
                       "k " + std::to_string(k) + ": " + coeff_mismatch(i, out[i], sb[i]));
-        }
-      }
-
-      // Accumulator path (transform / multiply_accumulate / finalize) must
-      // reproduce the direct multiply bit-for-bit.
-      const bfv::CipherSpectrum cspec = pow2_engine.transform_cipher_spectrum(ct_poly2);
-      bfv::SpectralAccumulator acc;
-      pow2_engine.multiply_accumulate(cspec, w_pow2, acc);
-      const hemath::Poly out_acc = pow2_engine.finalize(acc);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (out_acc[i] != out[i]) {
-          return fail("pow2-accumulate-vs-multiply",
-                      "k " + std::to_string(k) + ": " + coeff_mismatch(i, out_acc[i], out[i]));
         }
       }
 
@@ -236,7 +231,7 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
 
   const bfv::PolyMulEngine fft_engine(ctx, bfv::PolyMulBackend::kFft);
   {
-    const hemath::Poly out = fft_engine.multiply(ct, fft_engine.transform_plain(pt));
+    const hemath::Poly out = product(fft_engine, ct, fft_engine.transform_plain(pt));
     const OracleReport r = fp_deviation_check("fft-vs-ntt", out, ref);
     if (!r.ok) return r;
   }
@@ -245,7 +240,7 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
   std::vector<double> w_real(n);
   for (std::size_t i = 0; i < n; ++i) w_real[i] = static_cast<double>(c.w[i]);
   const std::vector<fft::cplx> exact_spec = ctx.fft().forward(w_real);
-  const std::vector<fft::cplx> ct_spec = fft_engine.transform_cipher(ct);
+  const std::vector<fft::cplx> ct_spec = fft_engine.transform_cipher_spectrum(ct).fft;
 
   // --- 4. Sparse planner/executor: skipping and merging are exact. ---
   {
@@ -322,7 +317,7 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
     std::vector<fft::cplx> err_spec(n / 2);
     for (std::size_t i = 0; i < n / 2; ++i) err_spec[i] = (w_approx.fft[i] - exact_spec[i]) * ct_spec[i];
     const std::vector<double> err_out = ctx.fft().inverse(err_spec);
-    const hemath::Poly out = approx_engine.multiply(ct, w_approx);
+    const hemath::Poly out = product(approx_engine, ct, w_approx);
     for (std::size_t i = 0; i < n; ++i) {
       const i64 observed = to_signed(hemath::sub_mod(out[i], ref[i], p.q), p.q);
       const double expected = err_out[i];

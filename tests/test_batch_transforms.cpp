@@ -136,10 +136,10 @@ TEST(BatchTransforms, FxpFftBatchEqualsSinglesOverPolymulCorpus) {
   }
 }
 
-// The serve-path batched entry: run_batch must reproduce a loop of run()
-// bit-for-bit — shares, byte counts, unit counts — at every dispatch level
-// (the level itself must not leak into protocol outputs either).
-TEST(BatchTransforms, ConvRunnerRunBatchBitIdenticalToLoopOfRuns) {
+// The served conv path must produce the same shares, byte counts and unit
+// counts at every dispatch level (the level must not leak into protocol
+// outputs), request after request against one warm plan.
+TEST(BatchTransforms, ConvRunnerRunBitIdenticalAcrossLevels) {
   bfv::BfvContext ctx(bfv::BfvParams::create(1024, 18, 46));
   protocol::HConvProtocol proto(ctx, bfv::PolyMulBackend::kFft, std::nullopt, 71);
   protocol::ConvRunner runner(proto);
@@ -163,18 +163,15 @@ TEST(BatchTransforms, ConvRunnerRunBatchBitIdenticalToLoopOfRuns) {
   }
   for (SimdLevel lvl : supported_levels()) {
     ScopedSimdLevel level(lvl);
-    const auto got = runner.run_batch(xs, *plan, bases);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].client_share.data(), ref[i].client_share.data()) << i;
-      EXPECT_EQ(got[i].server_share.data(), ref[i].server_share.data()) << i;
-      EXPECT_EQ(got[i].bytes_client_to_server, ref[i].bytes_client_to_server) << i;
-      EXPECT_EQ(got[i].bytes_server_to_client, ref[i].bytes_server_to_client) << i;
-      EXPECT_EQ(got[i].hconv_calls, ref[i].hconv_calls) << i;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const protocol::ConvRunnerResult got = runner.run(xs[i], *plan, bases[i]);
+      EXPECT_EQ(got.client_share.data(), ref[i].client_share.data()) << i;
+      EXPECT_EQ(got.server_share.data(), ref[i].server_share.data()) << i;
+      EXPECT_EQ(got.bytes_client_to_server, ref[i].bytes_client_to_server) << i;
+      EXPECT_EQ(got.bytes_server_to_client, ref[i].bytes_server_to_client) << i;
+      EXPECT_EQ(got.hconv_calls, ref[i].hconv_calls) << i;
     }
   }
-  EXPECT_THROW((void)runner.run_batch(xs, *plan, std::span<const std::uint64_t>(bases.data(), 2)),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// BFV scheme: encrypt/decrypt round trips, homomorphic add/sub,
+// BFV scheme: encrypt/decrypt round trips, ciphertext-plaintext add/sub,
 // plaintext multiplication across all three PolyMul backends, and noise
 // budget behaviour (the kernel-level robustness of paper §III-A).
 #include <gtest/gtest.h>
@@ -20,13 +20,13 @@ struct Fixture {
   hemath::Sampler sampler;
   KeyGenerator keygen;
   SecretKey sk;
-  PublicKey pk;
+  PreparedPublicKey ppk;
   Encryptor enc;
   Decryptor dec;
 
   explicit Fixture(std::uint64_t seed = 99)
       : ctx(test_params()), sampler(seed), keygen(ctx, sampler), sk(keygen.secret_key()),
-        pk(keygen.public_key(sk)), enc(ctx, sampler), dec(ctx, sk) {}
+        ppk(prepare_public_key(ctx, keygen.public_key(sk))), enc(ctx, sampler), dec(ctx, sk) {}
 };
 
 std::vector<i64> random_values(std::size_t count, i64 lo, i64 hi, std::mt19937_64& rng) {
@@ -79,21 +79,12 @@ TEST(Bfv, EncodeRejectsOutOfRange) {
   EXPECT_THROW(f.ctx.encode_signed({big}), std::out_of_range);
 }
 
-TEST(Bfv, SymmetricEncryptDecrypt) {
-  Fixture f;
-  std::mt19937_64 rng(2);
-  const auto vals = random_values(f.ctx.params().n, -30000, 30000, rng);
-  const Plaintext pt = f.ctx.encode_signed(vals);
-  const Ciphertext ct = f.enc.encrypt_symmetric(pt, f.sk);
-  EXPECT_EQ(f.ctx.decode_signed(f.dec.decrypt(ct)), vals);
-}
-
 TEST(Bfv, PublicKeyEncryptDecrypt) {
   Fixture f;
   std::mt19937_64 rng(3);
   const auto vals = random_values(f.ctx.params().n, -30000, 30000, rng);
   const Plaintext pt = f.ctx.encode_signed(vals);
-  const Ciphertext ct = f.enc.encrypt(pt, f.pk);
+  const Ciphertext ct = f.enc.encrypt(pt, f.ppk);
   EXPECT_EQ(f.ctx.decode_signed(f.dec.decrypt(ct)), vals);
 }
 
@@ -185,26 +176,10 @@ TEST(Bfv, FreshNoiseBudgetPositiveAndPredicted) {
   Fixture f;
   std::mt19937_64 rng(4);
   const Plaintext pt = f.ctx.encode_signed(random_values(f.ctx.params().n, -100, 100, rng));
-  const Ciphertext ct = f.enc.encrypt(pt, f.pk);
+  const Ciphertext ct = f.enc.encrypt(pt, f.ppk);
   const double budget = f.dec.invariant_noise_budget(ct);
   EXPECT_GT(budget, 5.0);
   EXPECT_LT(budget, f.ctx.params().noise_ceiling_bits());
-}
-
-TEST(Bfv, HomomorphicAddSub) {
-  Fixture f;
-  Evaluator ev(f.ctx, PolyMulBackend::kNtt);
-  std::mt19937_64 rng(5);
-  const auto va = random_values(f.ctx.params().n, -10000, 10000, rng);
-  const auto vb = random_values(f.ctx.params().n, -10000, 10000, rng);
-  Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
-  const Ciphertext cb = f.enc.encrypt(f.ctx.encode_signed(vb), f.pk);
-  ev.add_inplace(ca, cb);
-  auto got = f.ctx.decode_signed(f.dec.decrypt(ca));
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], va[i] + vb[i]);
-  ev.sub_inplace(ca, cb);
-  got = f.ctx.decode_signed(f.dec.decrypt(ca));
-  EXPECT_EQ(got, va);
 }
 
 TEST(Bfv, AddSubPlain) {
@@ -213,23 +188,12 @@ TEST(Bfv, AddSubPlain) {
   std::mt19937_64 rng(6);
   const auto va = random_values(f.ctx.params().n, -10000, 10000, rng);
   const auto vb = random_values(f.ctx.params().n, -10000, 10000, rng);
-  Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
+  Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.ppk);
   ev.add_plain_inplace(ca, f.ctx.encode_signed(vb));
   auto got = f.ctx.decode_signed(f.dec.decrypt(ca));
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], va[i] + vb[i]);
   ev.sub_plain_inplace(ca, f.ctx.encode_signed(vb));
   EXPECT_EQ(f.ctx.decode_signed(f.dec.decrypt(ca)), va);
-}
-
-TEST(Bfv, NegateIsAdditiveInverse) {
-  Fixture f;
-  Evaluator ev(f.ctx, PolyMulBackend::kNtt);
-  std::mt19937_64 rng(7);
-  const auto va = random_values(f.ctx.params().n, -100, 100, rng);
-  Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
-  ev.negate_inplace(ca);
-  const auto got = f.ctx.decode_signed(f.dec.decrypt(ca));
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], -va[i]);
 }
 
 class MultiplyPlainBackend : public ::testing::TestWithParam<PolyMulBackend> {};
@@ -256,7 +220,7 @@ TEST_P(MultiplyPlainBackend, SparseWeightPolyMulDecryptsExactly) {
     vw[rng() % p.n] = w;
   }
 
-  Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
+  Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.ppk);
   const Ciphertext prod = ev.multiply_plain(ca, f.ctx.encode_signed(vw));
 
   // Expected: negacyclic product mod t.
@@ -302,7 +266,7 @@ TEST(Bfv, ApproxSpectrumErrorScalesWithKeyWrap) {
   for (int i = 0; i < 72; ++i) vw[rng() % p.n] = static_cast<i64>(rng() % 15) - 7;
   const Plaintext ptw = f.ctx.encode_signed(vw);
 
-  const Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
+  const Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.ppk);
   const auto ref = f.ctx.decode_signed(f.dec.decrypt(exact.multiply_plain(ca, ptw)));
   const auto got_k5 = f.ctx.decode_signed(f.dec.decrypt(approx_k5.multiply_plain(ca, ptw)));
   const auto got_hi = f.ctx.decode_signed(f.dec.decrypt(approx_hi.multiply_plain(ca, ptw)));
@@ -323,7 +287,7 @@ TEST(Bfv, MultiplyPlainNoiseGrowsWithWeightNorm) {
   const auto& p = f.ctx.params();
   std::mt19937_64 rng(9);
   const auto va = random_values(p.n, 0, 15, rng);
-  const Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
+  const Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.ppk);
   const double fresh = f.dec.invariant_noise_budget(ca);
 
   std::vector<i64> sparse(p.n, 0), dense_w(p.n, 0);
@@ -344,7 +308,7 @@ TEST(Bfv, EngineCountsOperations) {
   const auto va = random_values(f.ctx.params().n, 0, 15, rng);
   std::vector<i64> vw(f.ctx.params().n, 0);
   vw[3] = 2;
-  const Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.pk);
+  const Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.ppk);
   const PlainSpectrum spec = ev.transform_plain(f.ctx.encode_signed(vw));
   (void)ev.multiply_plain(ca, spec);
   (void)ev.multiply_plain(ca, spec);  // weight spectrum reused
@@ -362,7 +326,7 @@ TEST(Bfv, BackendMismatchThrows) {
   vw[0] = 1;
   const PlainSpectrum spec = ntt_ev.transform_plain(f.ctx.encode_signed(vw));
   const Ciphertext ca =
-      f.enc.encrypt(f.ctx.encode_signed(std::vector<i64>(f.ctx.params().n, 1)), f.pk);
+      f.enc.encrypt(f.ctx.encode_signed(std::vector<i64>(f.ctx.params().n, 1)), f.ppk);
   EXPECT_THROW(fft_ev.multiply_plain(ca, spec), std::invalid_argument);
 }
 

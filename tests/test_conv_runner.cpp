@@ -4,7 +4,10 @@
 
 #include <random>
 
+#include "core/flash_accelerator.hpp"
+#include "core/thread_pool.hpp"
 #include "protocol/conv_runner.hpp"
+#include "protocol/plan_certificate.hpp"
 #include "tensor/quant.hpp"
 
 namespace flash::protocol {
@@ -111,6 +114,131 @@ TEST(ConvRunner, RejectsZeroStride) {
   const tensor::Tensor3 x(1, 4, 4);
   const tensor::Tensor4 w(1, 1, 1, 1);
   EXPECT_THROW(f.runner.run(x, w, 0, 0), std::invalid_argument);
+}
+
+TEST(ConvRunner, RejectsChannelMismatch) {
+  Fixture f;
+  std::mt19937_64 rng(12);
+  const tensor::Tensor3 x = tensor::random_activations(3, 6, 6, 4, rng);
+  const tensor::Tensor4 w = tensor::random_weights(2, 2, 3, 4, rng);
+  EXPECT_THROW(f.runner.run(x, w, 1, 1), std::invalid_argument);
+  EXPECT_THROW(f.runner.run(x, w, 2, 1), std::invalid_argument);
+}
+
+/// FNV-1a over 64-bit share values, little-endian byte order.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(u64 v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+std::uint64_t digest(const ConvRunnerResult& r) {
+  Fnv1a f;
+  for (const tensor::i64 v : r.client_share.data()) f.add(static_cast<u64>(v));
+  for (const tensor::i64 v : r.server_share.data()) f.add(static_cast<u64>(v));
+  return f.h;
+}
+
+std::uint64_t digest(const HConvResult& r) {
+  Fnv1a f;
+  for (const auto& channel : r.client_share) {
+    for (const u64 v : channel) f.add(v);
+  }
+  for (const auto& channel : r.server_share) {
+    for (const u64 v : channel) f.add(v);
+  }
+  return f.h;
+}
+
+std::uint64_t digest(const HConvProtocol::MatVecResult& r) {
+  Fnv1a f;
+  for (const u64 v : r.client_share) f.add(v);
+  for (const u64 v : r.server_share) f.add(v);
+  return f.h;
+}
+
+// Served shares pinned across commits. Every other bit-identity test
+// compares two paths of the same build, so a change that moves both alike
+// (a stream id, a mask draw, a decomposition) passes them; these constants
+// were recorded once and must not move. The parameters are
+// bench_network_serve's (N = 2048, t = 2^17, 44-bit q, 4-bit operands), and
+// every conv case certifies proven on every backend: each decryption is
+// exact, so the shares do not depend on floating-point rounding and all
+// three backends produce the same digest. A digest change therefore means a
+// stream or decomposition change.
+TEST(ConvRunner, SharesMatchRecordedDigests) {
+  const bfv::BfvContext ctx(bfv::BfvParams::create(2048, 17, 44));
+  const u64 t = ctx.params().t;
+  struct Layer {
+    const char* name;
+    std::size_t c, hw, out_c, k, stride, pad;
+    std::uint64_t want;
+  };
+  const Layer layers[] = {
+      {"stride-2 padded, 4 live phases", 3, 9, 2, 3, 2, 1, 0x1b48596b1b0ebe56ULL},
+      {"stride-1 spatially tiled", 1, 46, 2, 3, 1, 1, 0x4b5b6c1a1f08f97dULL},
+      {"1x1 over 2 channel tiles", 40, 8, 3, 1, 1, 0, 0x5e9f9877ef69fdb6ULL},
+  };
+  constexpr std::uint64_t kWantStream = 0x1ae115ce0cd21bb8ULL;  // uncached run_stream
+  constexpr std::uint64_t kWantMatVec = 0x69004c34bbbd5a73ULL;  // 512 -> 37 run_matvec
+  const std::size_t in_f = 512, out_f = 37;
+
+  core::ThreadPool pool(3);
+  for (const bfv::PolyMulBackend backend :
+       {bfv::PolyMulBackend::kNtt, bfv::PolyMulBackend::kFft, bfv::PolyMulBackend::kApproxFft}) {
+    std::optional<fft::FxpFftConfig> cfg;
+    if (backend == bfv::PolyMulBackend::kApproxFft) {
+      cfg = core::high_accuracy_approx_config(ctx.params().n, t);
+    }
+    HConvProtocol serial_proto(ctx, backend, cfg, 2024);
+    HConvProtocol pooled_proto(ctx, backend, cfg, 2024);
+    ConvRunner serial(serial_proto);
+    ConvRunner pooled(pooled_proto, &pool);
+    const int b = static_cast<int>(backend);
+
+    std::mt19937_64 rng(5150);
+    for (const Layer& l : layers) {
+      const tensor::Tensor3 x = tensor::random_activations(l.c, l.hw, l.hw, 4, rng);
+      const tensor::Tensor4 w = tensor::random_weights(l.out_c, l.c, l.k, 4, rng);
+      ASSERT_EQ(certify_conv(ctx.params(), backend, cfg, l.c, l.hw, l.hw, w, l.stride, l.pad)
+                    .overall.verdict,
+                analysis::PipelineVerdict::kProvenCorrectDecryption)
+          << l.name << " backend " << b;
+      const ConvRunnerResult r = serial.run(x, w, l.stride, l.pad, 7ULL << 32);
+      EXPECT_EQ(r.reconstruct(t).data(), tensor::conv2d(x, w, {l.stride, l.pad}).data())
+          << l.name << " backend " << b;
+      // Phases, spatial tiles or channel tiles: several ciphertexts each.
+      EXPECT_GT(r.bytes_client_to_server, ciphertext_bytes(ctx.params())) << l.name;
+      EXPECT_EQ(digest(r), l.want) << l.name << " backend " << b;
+      EXPECT_EQ(digest(pooled.run(x, w, l.stride, l.pad, 7ULL << 32)), l.want)
+          << l.name << " backend " << b << " pooled";
+      const auto plan = pooled.prepare(l.c, l.hw, l.hw, w, l.stride, l.pad);
+      EXPECT_EQ(digest(pooled.run(x, *plan, 7ULL << 32)), l.want)
+          << l.name << " backend " << b << " planned";
+    }
+
+    const tensor::Tensor3 x = tensor::random_activations(40, 8, 8, 4, rng);
+    const tensor::Tensor4 w = tensor::random_weights(2, 40, 3, 4, rng);
+    ASSERT_EQ(certify_conv(ctx.params(), backend, cfg, 40, 8, 8, w, 1, 0).overall.verdict,
+              analysis::PipelineVerdict::kProvenCorrectDecryption)
+        << "run_stream backend " << b;
+    EXPECT_EQ(digest(serial_proto.run_stream(x, w, 3)), kWantStream) << "run_stream backend " << b;
+    EXPECT_EQ(digest(pooled_proto.run_stream(x, w, 3)), kWantStream) << "run_stream backend " << b;
+
+    std::uniform_int_distribution<i64> wdist(-7, 7), xdist(0, 15);
+    std::vector<i64> fw(in_f * out_f), fx(in_f);
+    for (auto& v : fw) v = wdist(rng);
+    for (auto& v : fx) v = xdist(rng);
+    const auto mv = serial_proto.run_matvec(fx, fw, out_f);
+    EXPECT_EQ(mv.reconstruct(t), tensor::linear(fx, fw, out_f)) << "run_matvec backend " << b;
+    EXPECT_EQ(digest(mv), kWantMatVec) << "run_matvec backend " << b;
+    EXPECT_EQ(digest(pooled_proto.run_matvec(fx, fw, out_f)), kWantMatVec)
+        << "run_matvec backend " << b << " pooled";
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Unit tests for modular arithmetic: add/sub/mul/pow/inv, Barrett and
-// Montgomery reducers against the 128-bit reference.
+// Unit tests for modular arithmetic: add/sub/mul/pow/inv and the signed
+// lifts, against the 128-bit reference.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -107,64 +107,6 @@ TEST(Modular, FromSignedHandlesVeryNegative) {
   EXPECT_EQ(from_signed(-1, 7), 6u);
   EXPECT_EQ(from_signed(-15, 7), 6u);
   EXPECT_EQ(from_signed(-14, 7), 0u);
-}
-
-class ReducerTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(ReducerTest, BarrettMatchesReference) {
-  const u64 q = GetParam();
-  BarrettReducer barrett(q);
-  std::mt19937_64 rng(42);
-  for (int i = 0; i < 2000; ++i) {
-    const u64 a = rng() % q;
-    const u64 b = rng() % q;
-    EXPECT_EQ(barrett.mul(a, b), mul_mod(a, b, q)) << "a=" << a << " b=" << b << " q=" << q;
-  }
-  // Edge operands.
-  EXPECT_EQ(barrett.mul(q - 1, q - 1), mul_mod(q - 1, q - 1, q));
-  EXPECT_EQ(barrett.mul(0, q - 1), 0u);
-  EXPECT_EQ(barrett.reduce(q - 1), q - 1);
-  EXPECT_EQ(barrett.reduce(q), 0u);
-}
-
-TEST_P(ReducerTest, MontgomeryMatchesReference) {
-  const u64 q = GetParam();
-  if ((q & 1) == 0) GTEST_SKIP() << "Montgomery requires odd modulus";
-  MontgomeryReducer mont(q);
-  std::mt19937_64 rng(43);
-  for (int i = 0; i < 2000; ++i) {
-    const u64 a = rng() % q;
-    const u64 b = rng() % q;
-    const u64 am = mont.to_mont(a);
-    const u64 bm = mont.to_mont(b);
-    EXPECT_EQ(mont.from_mont(mont.mul(am, bm)), mul_mod(a, b, q));
-  }
-  EXPECT_EQ(mont.from_mont(mont.to_mont(q - 1)), q - 1);
-  EXPECT_EQ(mont.from_mont(mont.to_mont(0)), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Moduli, ReducerTest,
-                         ::testing::Values(u64{3}, u64{17}, u64{998244353},
-                                           (u64{1} << 31) - 1, u64{4611686018326724609ULL},
-                                           (u64{1} << 61) - 1));
-
-TEST(Modular, BarrettRejectsBadModulus) {
-  EXPECT_THROW(BarrettReducer(1), std::invalid_argument);
-  EXPECT_THROW(BarrettReducer(u64{1} << 62), std::invalid_argument);
-}
-
-TEST(Modular, BarrettPowerOfTwoModulus) {
-  BarrettReducer barrett(u64{1} << 20);
-  std::mt19937_64 rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const u64 a = rng() % (u64{1} << 20);
-    const u64 b = rng() % (u64{1} << 20);
-    EXPECT_EQ(barrett.mul(a, b), (a * b) % (u64{1} << 20));
-  }
-}
-
-TEST(Modular, MontgomeryRejectsEvenModulus) {
-  EXPECT_THROW(MontgomeryReducer(16), std::invalid_argument);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ Replay replay_unit(const flash::bfv::BfvParams& params, flash::bfv::PolyMulBacke
   flash::hemath::Sampler sampler(seed);
   bfv::KeyGenerator keygen(ctx, sampler);
   const auto sk = keygen.secret_key();
-  const auto pk = keygen.public_key(sk);
+  const auto pk = bfv::prepare_public_key(ctx, keygen.public_key(sk));
   bfv::Decryptor dec(ctx, sk);
   bfv::Evaluator ev(ctx, backend, cfg);
   const std::size_t C = wts.in_channels(), M = wts.out_channels(), K = wts.kernel_h();

@@ -130,15 +130,13 @@ TEST(Pow2Engine, EndToEndMatchesIndependentReference) {
     const std::vector<u64> ct = random_residues(p.n, ring, rng);
     const std::vector<u64> want = i128_reference(ct, w, ring);
 
+    // One product, then a second accumulated onto it: finalize must be the
+    // bitwise accumulator each time.
     const bfv::PlainSpectrum ws = engine.transform_plain(pt);
-    const hemath::Poly out = engine.multiply(hemath::Poly(p.q, ct), ws);
-    EXPECT_EQ(out.coeffs(), want) << "k=" << k;
-
-    // Accumulator path: two accumulated products must equal the sum of two
-    // direct multiplies, and finalize must be the bitwise accumulator.
-    bfv::SpectralAccumulator acc;
     const bfv::CipherSpectrum cs = engine.transform_cipher_spectrum(hemath::Poly(p.q, ct));
+    bfv::SpectralAccumulator acc;
     engine.multiply_accumulate(cs, ws, acc);
+    EXPECT_EQ(engine.finalize(acc).coeffs(), want) << "k=" << k;
     engine.multiply_accumulate(cs, ws, acc);
     const hemath::Poly doubled = engine.finalize(acc);
     for (std::size_t i = 0; i < p.n; ++i) {
@@ -155,7 +153,10 @@ TEST(Pow2Engine, CountersChargeKaratsubaMultiplies) {
   pt.poly[1] = 3;
   const bfv::PlainSpectrum ws = engine.transform_plain(pt);
   const bfv::PolyMulCounters before = engine.counters();
-  (void)engine.multiply(hemath::Poly(p.q, std::vector<u64>(p.n, 5)), ws);
+  bfv::SpectralAccumulator acc;
+  engine.multiply_accumulate(
+      engine.transform_cipher_spectrum(hemath::Poly(p.q, std::vector<u64>(p.n, 5))), ws, acc);
+  (void)engine.finalize(acc);
   const bfv::PolyMulCounters d = engine.counters() - before;
   EXPECT_EQ(d.pointwise_products, hemath::pow2_mult_count(p.n));
   EXPECT_EQ(d.cipher_transforms, 1u);

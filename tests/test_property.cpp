@@ -62,7 +62,7 @@ TEST_P(BackendEquivalence, NttAndFftBackendsAgree) {
   hemath::Sampler sampler(GetParam());
   bfv::KeyGenerator keygen(ctx, sampler);
   const bfv::SecretKey sk = keygen.secret_key();
-  const bfv::PublicKey pk = keygen.public_key(sk);
+  const bfv::PreparedPublicKey pk = bfv::prepare_public_key(ctx, keygen.public_key(sk));
   bfv::Encryptor enc(ctx, sampler);
   bfv::Decryptor dec(ctx, sk);
   bfv::Evaluator ntt_ev(ctx, bfv::PolyMulBackend::kNtt);
@@ -88,7 +88,7 @@ TEST(Fuzz, SerializationNeverCrashesOnCorruption) {
   hemath::Sampler sampler(1);
   bfv::KeyGenerator keygen(ctx, sampler);
   const bfv::SecretKey sk = keygen.secret_key();
-  const bfv::PublicKey pk = keygen.public_key(sk);
+  const bfv::PreparedPublicKey pk = bfv::prepare_public_key(ctx, keygen.public_key(sk));
   bfv::Encryptor enc(ctx, sampler);
   const bfv::Ciphertext ct = enc.encrypt(ctx.encode_signed({1, 2, 3}), pk);
   const bfv::Bytes clean = bfv::serialize(params, ct);
@@ -295,7 +295,7 @@ TEST(Property, EncryptionIsRandomized) {
   hemath::Sampler sampler(3);
   bfv::KeyGenerator keygen(ctx, sampler);
   const bfv::SecretKey sk = keygen.secret_key();
-  const bfv::PublicKey pk = keygen.public_key(sk);
+  const bfv::PreparedPublicKey pk = bfv::prepare_public_key(ctx, keygen.public_key(sk));
   bfv::Encryptor enc(ctx, sampler);
   const bfv::Plaintext pt = ctx.encode_signed({42});
   const bfv::Ciphertext a = enc.encrypt(pt, pk);

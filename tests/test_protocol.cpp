@@ -134,6 +134,20 @@ TEST(Protocol, WeightTransformsAmortized) {
   EXPECT_EQ(result.ops.inverse_transforms, 16u);
 }
 
+TEST(Protocol, RunStreamRejectsChannelMismatch) {
+  // The shape guard holds on both paths: against caller-prepared weights,
+  // and when run_stream transforms the weights itself.
+  const bfv::BfvParams params = bfv::BfvParams::create(1024, 18, 46);
+  bfv::BfvContext ctx(params);
+  HConvProtocol proto(ctx, bfv::PolyMulBackend::kFft, std::nullopt, 8);
+  std::mt19937_64 rng(87);
+  const tensor::Tensor3 x = tensor::random_activations(3, 6, 6, 4, rng);
+  const tensor::Tensor4 w = tensor::random_weights(2, 2, 3, 4, rng);
+  const auto prepared = proto.prepare_weights(6, 6, w);
+  EXPECT_THROW((void)proto.run_stream(x, w, 0), std::invalid_argument);
+  EXPECT_THROW((void)proto.run_stream(x, w, 0, prepared.get()), std::invalid_argument);
+}
+
 class ProtocolSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ProtocolSeeds, HConvExactAcrossSeeds) {

@@ -29,13 +29,15 @@ struct Fixture {
   hemath::Sampler sampler;
   bfv::SecretKey sk;
   bfv::PublicKey pk;
+  bfv::PreparedPublicKey ppk;
 
   explicit Fixture(std::uint64_t seed, std::size_t n = 256, int log_t = 14, int log_q = 42)
       : params(bfv::BfvParams::create(n, log_t, log_q)),
         ctx(params),
         sampler(derive_stream_seed(kBaseSeed, seed)),
         sk(bfv::KeyGenerator(ctx, sampler).secret_key()),
-        pk(bfv::KeyGenerator(ctx, sampler).public_key(sk)) {}
+        pk(bfv::KeyGenerator(ctx, sampler).public_key(sk)),
+        ppk(bfv::prepare_public_key(ctx, pk)) {}
 };
 
 TEST(Serialization, ParamsRoundTrip) {
@@ -66,7 +68,7 @@ TEST(Serialization, CiphertextRoundTripAndDecrypts) {
   Fixture f(3);
   const bfv::Plaintext pt = f.ctx.encode_signed({1, -2, 3, -4, 5});
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const bfv::Ciphertext ct = enc.encrypt(pt, f.pk);
+  const bfv::Ciphertext ct = enc.encrypt(pt, f.ppk);
 
   const Bytes bytes = bfv::serialize(f.params, ct);
   const bfv::Ciphertext back = bfv::deserialize_ciphertext(f.ctx, bytes);
@@ -97,7 +99,7 @@ TEST(Serialization, PublicKeyRoundTrip) {
 TEST(Serialization, TruncatedCiphertextRejectedAtEveryLength) {
   Fixture f(7, /*n=*/64);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const bfv::Ciphertext ct = enc.encrypt(f.ctx.encode_signed({9, 8, 7}), f.pk);
+  const bfv::Ciphertext ct = enc.encrypt(f.ctx.encode_signed({9, 8, 7}), f.ppk);
   const Bytes bytes = bfv::serialize(f.params, ct);
 
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -138,7 +140,7 @@ TEST(Serialization, ForeignParamsRejected) {
   Fixture f(11, /*n=*/64);
   Fixture other(12, /*n=*/128);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({5}), f.pk));
+  const Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({5}), f.ppk));
   EXPECT_THROW(bfv::deserialize_ciphertext(other.ctx, bytes), std::runtime_error);
 }
 
@@ -154,7 +156,7 @@ TEST(Serialization, TrailingGarbageRejected) {
 TEST(Serialization, RejectsCorruption) {
   Fixture f(19, /*n=*/64);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({1, 2, 3}), f.pk));
+  const Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({1, 2, 3}), f.ppk));
 
   const Bytes truncated(bytes.begin(), bytes.begin() + bytes.size() / 2);
   EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, truncated), std::runtime_error);
@@ -179,7 +181,7 @@ TEST(Serialization, RejectsCorruption) {
 TEST(Serialization, RandomByteCorruptionNeverCrashes) {
   Fixture f(14, /*n=*/64);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const bfv::Ciphertext ct = enc.encrypt(f.ctx.encode_signed({3, 1, 4, 1, 5}), f.pk);
+  const bfv::Ciphertext ct = enc.encrypt(f.ctx.encode_signed({3, 1, 4, 1, 5}), f.ppk);
   const Bytes bytes = bfv::serialize(f.params, ct);
 
   std::mt19937_64 rng(derive_stream_seed(kBaseSeed, 0x20));
@@ -209,7 +211,7 @@ TEST(Serialization, RandomByteCorruptionNeverCrashes) {
 TEST(Serialization, RejectionsThrowTypedSerializationError) {
   Fixture f(15, /*n=*/64);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const Bytes good = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({7}), f.pk));
+  const Bytes good = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({7}), f.ppk));
 
   // Truncation.
   const Bytes truncated(good.begin(), good.begin() + good.size() / 2);
@@ -235,7 +237,7 @@ TEST(Serialization, RejectionsThrowTypedSerializationError) {
 TEST(Serialization, ForgedDegreeRejectedBeforeAllocation) {
   Fixture f(16, /*n=*/64);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({1, 2}), f.pk));
+  Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({1, 2}), f.ppk));
 
   // Layout: header (magic 8 + tag 1 + n/t/q 24 = 33 bytes), then c0 as
   // modulus u64 at 33 and degree u64 at 41. Forge degree = 2^60: the loader
@@ -259,7 +261,7 @@ TEST(Serialization, ForgedDegreeRejectedBeforeAllocation) {
 TEST(Serialization, AdversarialHeaderFuzzNeverCrashesAnyLoader) {
   Fixture f(17, /*n=*/64);
   bfv::Encryptor enc(f.ctx, f.sampler);
-  const Bytes base = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({6, 6, 6}), f.pk));
+  const Bytes base = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({6, 6, 6}), f.ppk));
 
   constexpr std::uint64_t kHostile[] = {
       0,

@@ -506,9 +506,9 @@ TEST(SimdKernels, Pow2NegacyclicAndBatchBitIdenticalAcrossLevels) {
 // --- FLASH_FORCE_SIMD_LEVEL resolution --------------------------------------
 //
 // The env vars are read once at startup, so these tests drive the resolver
-// directly with synthetic values. Contract: FLASH_FORCE_SCALAR (truthy) wins;
-// otherwise FLASH_FORCE_SIMD_LEVEL must parse and can only degrade, never
-// grant a level the CPU lacks; unknown names are a hard configuration error.
+// directly with synthetic values. Contract: FLASH_FORCE_SIMD_LEVEL must parse
+// and can only degrade, never grant a level the CPU lacks; unknown names are
+// a hard configuration error.
 
 TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheThreeNames) {
   using hemath::simd::parse_simd_level;
@@ -525,37 +525,29 @@ TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheThreeNames) {
 
 TEST(SimdDispatchEnv, ResolveHonorsEachForcedLevel) {
   using hemath::simd::detail::resolve_level;
-  EXPECT_EQ(resolve_level(nullptr, "scalar", SimdLevel::kAvx512), SimdLevel::kScalar);
-  EXPECT_EQ(resolve_level(nullptr, "avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
-  EXPECT_EQ(resolve_level(nullptr, "avx512", SimdLevel::kAvx512), SimdLevel::kAvx512);
+  EXPECT_EQ(resolve_level("scalar", SimdLevel::kAvx512), SimdLevel::kScalar);
+  EXPECT_EQ(resolve_level("avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx512), SimdLevel::kAvx512);
 }
 
 TEST(SimdDispatchEnv, ResolveClampsToSupportedNeverUpgrades) {
   using hemath::simd::detail::resolve_level;
   // Asking for more than the CPU has degrades to the supported maximum.
-  EXPECT_EQ(resolve_level(nullptr, "avx512", SimdLevel::kAvx2), SimdLevel::kAvx2);
-  EXPECT_EQ(resolve_level(nullptr, "avx2", SimdLevel::kScalar), SimdLevel::kScalar);
+  EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level("avx2", SimdLevel::kScalar), SimdLevel::kScalar);
   // Unset: the supported maximum stands.
-  EXPECT_EQ(resolve_level(nullptr, nullptr, SimdLevel::kAvx2), SimdLevel::kAvx2);
-}
-
-TEST(SimdDispatchEnv, ResolveForceScalarWinsOverForcedLevel) {
-  using hemath::simd::detail::resolve_level;
-  EXPECT_EQ(resolve_level("1", "avx512", SimdLevel::kAvx512), SimdLevel::kScalar);
-  // FLASH_FORCE_SCALAR=0 is falsy: the forced level applies.
-  EXPECT_EQ(resolve_level("0", "avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level(nullptr, SimdLevel::kAvx2), SimdLevel::kAvx2);
 }
 
 TEST(SimdDispatchEnv, ResolveRejectsUnknownLevelName) {
   using hemath::simd::detail::resolve_level;
-  EXPECT_THROW((void)resolve_level(nullptr, "sse9", SimdLevel::kAvx512), std::invalid_argument);
-  EXPECT_THROW((void)resolve_level(nullptr, "AVX2", SimdLevel::kAvx512), std::invalid_argument);
+  EXPECT_THROW((void)resolve_level("sse9", SimdLevel::kAvx512), std::invalid_argument);
+  EXPECT_THROW((void)resolve_level("AVX2", SimdLevel::kAvx512), std::invalid_argument);
 }
 
-TEST(SimdKernels, ForceScalarEnvironmentOverrideIsScalar) {
-  // The env var is read once at startup, so this test only checks the
-  // introspection path: whatever level is active, ScopedSimdLevel(kScalar)
-  // pins scalar and restores on exit.
+TEST(SimdKernels, ScopedScalarLevelPinsAndRestores) {
+  // Whatever level is active, ScopedSimdLevel(kScalar) pins scalar and
+  // restores the previous level on exit.
   const SimdLevel before = hemath::simd::active_simd_level();
   {
     ScopedSimdLevel level(SimdLevel::kScalar);

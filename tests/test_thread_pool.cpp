@@ -98,7 +98,9 @@ TEST(ThreadPool, SharedEngineCountersAreExactUnderContention) {
   core::ThreadPool pool(8);
   pool.parallel_for(0, kTasks, [&](std::size_t) {
     const bfv::PlainSpectrum w = ev.engine().transform_plain(pt);
-    (void)ev.engine().multiply(ct_poly, w);
+    bfv::SpectralAccumulator acc;
+    ev.engine().multiply_accumulate(ev.engine().transform_cipher_spectrum(ct_poly), w, acc);
+    (void)ev.engine().finalize(acc);
   });
 
   const bfv::PolyMulCounters c = ev.engine().counters();
