@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/scratch.hpp"
 #include "encoding/encoder.hpp"
 #include "fft/negacyclic.hpp"
 #include "fft/transform_cache.hpp"
@@ -28,6 +29,11 @@ constexpr double kWorstCaseSigmas = 10.0;
 
 double log2_safe(double v) { return v > 0 ? std::log2(v) : -1e9; }
 
+/// A maximal run [first, last) of occupied activation slots.
+struct Run {
+  std::size_t first = 0, last = 0;
+};
+
 struct ChannelLedger {
   double certified = 0;   // r·wraps + λ·sqrt(variances)
   double worst_case = 0;  // deterministic l1 ledger
@@ -35,6 +41,30 @@ struct ChannelLedger {
   double l1 = 0;
   std::vector<NoiseTerm> terms;
 };
+
+void check_spectra(const std::vector<std::vector<bfv::PlainSpectrum>>& spectra,
+                   bfv::PolyMulBackend backend, std::size_t m_out, std::size_t tiles,
+                   std::size_t n) {
+  if (backend != bfv::PolyMulBackend::kApproxFft) {
+    throw std::invalid_argument("certify_hconv_unit: spectra are read on kApproxFft only");
+  }
+  if (spectra.size() != m_out) {
+    throw std::invalid_argument("certify_hconv_unit: spectra need one row per output channel");
+  }
+  for (const auto& row : spectra) {
+    if (row.size() != tiles) {
+      throw std::invalid_argument("certify_hconv_unit: spectra need one entry per channel tile");
+    }
+    for (const bfv::PlainSpectrum& s : row) {
+      if (s.backend != backend) {
+        throw std::invalid_argument("certify_hconv_unit: a spectrum's backend does not match");
+      }
+      if (s.fft.size() != n / 2) {
+        throw std::invalid_argument("certify_hconv_unit: a spectrum is not n/2 long");
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -47,7 +77,7 @@ const char* to_string(PipelineVerdict v) {
   return "unknown";
 }
 
-PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc) {
+PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPool* pool) {
   const bfv::BfvParams& p = desc.params;
   const std::size_t n = p.n;
   const double q = static_cast<double>(p.q);
@@ -77,18 +107,27 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc) {
                                   desc.weights.kernel_h(), desc.weights.kernel_w());
   const std::size_t tiles = enc.geometry().channel_tiles();
   const std::size_t m_out = desc.weights.out_channels();
+  if (desc.spectra != nullptr) {
+    check_spectra(*desc.spectra, desc.backend, m_out, tiles, n);
+  }
 
-  // Occupied activation slots per channel tile: every coefficient the
-  // encoder maps carries a uniform share and can wrap, including padding
-  // zeros (pad happens before sharing).
-  std::vector<std::vector<std::size_t>> occupied(tiles);
+  // Occupied activation slots per channel tile, as maximal runs:
+  // every coefficient the encoder maps carries a uniform share and can wrap,
+  // including padding zeros (pad happens before sharing).
+  std::vector<std::vector<Run>> occupied(tiles);
   {
     tensor::Tensor3 ones(desc.in_c, desc.in_h, desc.in_w);
     for (auto& v : ones.data()) v = 1;
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::vector<i64> coeffs = enc.encode_activation(ones, tile);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (coeffs[i] != 0) occupied[tile].push_back(i);
+      for (std::size_t i = 0; i < n;) {
+        if (coeffs[i] == 0) {
+          ++i;
+          continue;
+        }
+        const std::size_t s = i;
+        while (i < n && coeffs[i] != 0) ++i;
+        occupied[tile].push_back({s, i});
       }
     }
   }
@@ -111,19 +150,22 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc) {
   std::shared_ptr<const fft::FxpNegacyclicTransform> fxp;
   if (is_approx) {
     exact = fft::shared_negacyclic_fft(n);
-    fxp = fft::shared_fxp_transform(n, *desc.approx_config);
+    if (desc.spectra == nullptr) fxp = fft::shared_fxp_transform(n, *desc.approx_config);
   }
 
   // Per output channel: the final ciphertext accumulates every channel tile,
   // so the variance terms sum over tiles before the worst channel is taken.
-  ChannelLedger worst;
-  bool first = true;
-  std::vector<double> v_conv(n);
-  std::vector<fft::cplx> spec_fxp(n / 2), spec_exact(n / 2);
-  std::vector<double> wd(n);
-  for (std::size_t m = 0; m < m_out; ++m) {
+  const auto channel_ledger = [&](std::size_t m) {
+    core::ScratchFrame frame(core::thread_scratch());
+    // V(k) = Σ_j w_j² · [(k - j) mod n is occupied] is the wrap variance
+    // feeding output coefficient k (signs are irrelevant, variances add).
+    // Each nonzero w_j adds w_j² on the cyclic interval [j + first,
+    // j + last) of every occupied run: two difference-array updates, four
+    // when the interval wraps. One prefix sum then gives every V(k), exactly.
+    std::span<i64> diff = frame.alloc<i64>(n + 1);
+    std::fill(diff.begin(), diff.end(), i64{0});
+    std::span<double> wd = frame.alloc<double>(is_approx ? tiles * n : 0);
     double l1 = 0, l2sq = 0, delta2 = 0, delta_abs = 0;
-    std::fill(v_conv.begin(), v_conv.end(), 0.0);
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::vector<i64> wc = enc.encode_weight(desc.weights, m, tile);
       for (std::size_t j = 0; j < n; ++j) {
@@ -131,34 +173,65 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc) {
         const double w = static_cast<double>(wc[j]);
         l1 += std::abs(w);
         l2sq += w * w;
-        // Negacyclic conv of w² with the occupied-slot indicator: the wrap
-        // variance feeding each output coefficient (signs are irrelevant,
-        // variances add).
-        for (const std::size_t i : occupied[tile]) {
-          std::size_t k = j + i;
-          if (k >= n) k -= n;
-          v_conv[k] += w * w;
+        const i64 w2 = wc[j] * wc[j];
+        for (const Run& run : occupied[tile]) {
+          std::size_t a = j + run.first;
+          if (a >= n) a -= n;
+          const std::size_t e = a + (run.last - run.first);
+          diff[a] += w2;
+          if (e <= n) {
+            diff[e] -= w2;
+          } else {
+            diff[0] += w2;
+            diff[e - n] -= w2;
+          }
         }
       }
       if (is_approx) {
-        for (std::size_t j = 0; j < n; ++j) wd[j] = static_cast<double>(wc[j]);
-        fxp->forward_into(wd, spec_fxp);
-        exact->forward_into(wd, spec_exact);
-        for (std::size_t k = 0; k < n / 2; ++k) {
-          const fft::cplx d = spec_fxp[k] - spec_exact[k];
+        for (std::size_t j = 0; j < n; ++j) wd[tile * n + j] = static_cast<double>(wc[j]);
+      }
+    }
+    i64 v = 0, v_max = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      v += diff[k];
+      v_max = std::max(v_max, v);
+    }
+
+    // ΔW = FXP(w) - FFT(w), read from the unit's spectra when it has them,
+    // otherwise computed with this channel's tiles as one FXP batch.
+    if (is_approx) {
+      const std::size_t half = n / 2;
+      std::span<fft::cplx> spec_exact = frame.alloc<fft::cplx>(half);
+      std::span<fft::cplx> spec_fxp;
+      if (desc.spectra == nullptr) {
+        spec_fxp = frame.alloc<fft::cplx>(tiles * half);
+        std::span<const double*> in = frame.alloc<const double*>(tiles);
+        std::span<fft::cplx*> out = frame.alloc<fft::cplx*>(tiles);
+        for (std::size_t tile = 0; tile < tiles; ++tile) {
+          in[tile] = wd.data() + tile * n;
+          out[tile] = spec_fxp.data() + tile * half;
+        }
+        fxp->forward_batch_into(in, out, nullptr, &frame.arena());
+      }
+      for (std::size_t tile = 0; tile < tiles; ++tile) {
+        exact->forward_into(wd.subspan(tile * n, n), spec_exact);
+        const fft::cplx* approx = desc.spectra != nullptr ? (*desc.spectra)[m][tile].fft.data()
+                                                          : spec_fxp.data() + tile * half;
+        for (std::size_t k = 0; k < half; ++k) {
+          const fft::cplx d = approx[k] - spec_exact[k];
           delta2 += std::norm(d);
           delta_abs += std::abs(d);
         }
       }
     }
-    const double v_max = *std::max_element(v_conv.begin(), v_conv.end());
 
     ChannelLedger led;
     led.l1 = l1;
 
     // Stochastic terms (variances; certified adds λ·sqrt of the sum).
+    const double v_maxd = static_cast<double>(v_max);
     const double rlwe_var = fresh_var * l2sq;
-    const double wrap_var = r * r * v_max / 4.0;
+    const double wrap_var = r * r * v_maxd / 4.0;
     const double approx_var =
         is_approx ? secret_var_amp * (q * q / (12.0 * static_cast<double>(n / 2))) * delta2 : 0.0;
     const double fp_var =
@@ -178,14 +251,23 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc) {
                      + (is_fp ? secret_abs_amp * (kFpRelEps * q * std::max(1.0, l1) + 0.5) : 0.0);
 
     led.terms.push_back({"mask+quotient wraps (det)", log2_safe(det_wraps)});
-    led.terms.push_back({"share-wrap fluctuation", log2_safe(r * std::sqrt(v_max) / 2.0)});
+    led.terms.push_back({"share-wrap fluctuation", log2_safe(r * std::sqrt(v_maxd) / 2.0)});
     led.terms.push_back({"fresh rlwe x weights", log2_safe(std::sqrt(rlwe_var))});
     if (is_approx) led.terms.push_back({"fxp spectrum error", log2_safe(std::sqrt(approx_var))});
     if (is_fp) {
       led.terms.push_back({"fp roundoff envelope", log2_safe(std::sqrt(fp_var))});
       led.terms.push_back({"decrypt llround", log2_safe(std::sqrt(round_var))});
     }
+    return led;
+  };
+  std::vector<ChannelLedger> ledgers(m_out);
+  core::for_range(pool, m_out, [&](std::size_t m) { ledgers[m] = channel_ledger(m); });
 
+  // Merge in channel order: the first channel with the largest certified
+  // bound binds, whatever the thread count.
+  ChannelLedger worst;
+  bool first = true;
+  for (ChannelLedger& led : ledgers) {
     if (first || led.certified > worst.certified) {
       if (!first) {
         // Keep the globally worst witness/worst_case even if another channel

@@ -45,10 +45,13 @@
 //              maximizes the share-wrap variance (P(wrap) = 1/2 per slot).
 //
 // The model describes the transforms the served path runs: on kApproxFft
-// the weight transform is the single dense FxpNegacyclicTransform::
-// forward_into (bfv/polymul_engine.cpp). The sparse executors never run on
-// the served path, and nothing served calls the batched FXP entry points,
-// so neither is covered by a certificate.
+// the weight transform is the dense batched FxpNegacyclicTransform::
+// forward_batch_into (bfv/polymul_engine.cpp), bit-identical to a loop of
+// forward_into at every SIMD level (tests/test_simd_kernels.cpp pins this at
+// the served config). A plan's certificate reads that plan's own spectra
+// (HConvUnitDesc::spectra); without them the certifier runs the same
+// transform on the same signed coefficients. The sparse executors never run
+// on the served path, so they are not covered by a certificate.
 #pragma once
 
 #include <optional>
@@ -58,6 +61,7 @@
 #include "analysis/fxp_analyzer.hpp"
 #include "bfv/params.hpp"
 #include "bfv/polymul_engine.hpp"
+#include "core/thread_pool.hpp"
 #include "fft/fxp_fft.hpp"
 #include "tensor/tensor.hpp"
 
@@ -83,6 +87,14 @@ struct HConvUnitDesc {
   std::optional<fft::FxpFftConfig> approx_config;
   std::size_t in_c = 1, in_h = 1, in_w = 1;  // stride-1, already-padded patch
   tensor::Tensor4 weights{1, 1, 1, 1};       // in_channels must equal in_c
+  /// kApproxFft only, non-owning: the FXP weight spectra spec[m][tile] this
+  /// unit multiplies (HConvProtocol::PreparedWeights::spec). The spectrum
+  /// error then reads them instead of transforming the weights again. They
+  /// must have out_channels rows of channel_tiles() entries, each n/2 long
+  /// and of this backend; anything else, or spectra on another backend,
+  /// throws std::invalid_argument. Null: the certifier transforms the
+  /// weights itself.
+  const std::vector<std::vector<bfv::PlainSpectrum>>* spectra = nullptr;
 };
 
 /// One additive term of the noise ledger, in bits (log2 of its contribution
@@ -116,10 +128,15 @@ struct PipelineCertificate {
 inline constexpr double kCertifiedTailLambda = 6.0;
 inline constexpr double kWitnessPeakFactor = 3.0;
 
-/// Certify one unit. Exact and cheap relative to executing it: the dominant
-/// costs are one sparse w²-convolution per output channel and (FXP backend
-/// only) one approximate + one exact weight transform per channel tile.
-PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc);
+/// Certify one unit. Cheap relative to executing it: per output channel, the
+/// share-wrap variance costs O(nnz × occupied runs + N) (difference arrays
+/// over the runs of occupied slots, exact in integers), and on kApproxFft
+/// each channel tile adds one exact double FFT — plus the FXP transforms,
+/// one batch per channel, when desc.spectra is null. pool (optional,
+/// non-owning) fans the output channels out; their ledgers merge in channel
+/// order, so the certificate does not depend on the thread count.
+PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc,
+                                       core::ThreadPool* pool = nullptr);
 
 /// The concrete adversarial activation for a unit: every cleartext value
 /// t/2, which drives the per-slot share-wrap probability to 1/2 (maximal

@@ -33,48 +33,69 @@ PolyMulEngine::PolyMulEngine(const BfvContext& ctx, PolyMulBackend backend,
 }
 
 PlainSpectrum PolyMulEngine::transform_plain(const Plaintext& pt) const {
+  return std::move(transform_plain_batch(std::span<const Plaintext>(&pt, 1)).front());
+}
+
+std::vector<PlainSpectrum> PolyMulEngine::transform_plain_batch(
+    std::span<const Plaintext> pts) const {
   const auto& p = ctx_.params();
-  PlainSpectrum out;
-  out.backend = backend_;
-  bump(counters_.plain_transforms);
-  switch (backend_) {
-    case PolyMulBackend::kNtt: {
-      std::vector<u64> lifted(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        lifted[i] = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
-      }
-      ctx_.ntt().forward(lifted);
-      out.ntt = std::move(lifted);
-      break;
+  const std::size_t count = pts.size();
+  std::vector<PlainSpectrum> out(count);
+  bump(counters_.plain_transforms, count);
+  core::ScratchFrame frame(core::thread_scratch());
+  // Signed lift mod t of polynomial b, as doubles (the FP backends' input).
+  const auto lift = [&](std::size_t b, std::span<double> vals) {
+    for (std::size_t i = 0; i < p.n; ++i) {
+      vals[i] = static_cast<double>(hemath::to_signed(pts[b].poly[i], p.t));
     }
-    case PolyMulBackend::kFft: {
-      core::ScratchFrame frame(core::thread_scratch());
-      std::span<double> vals = frame.alloc<double>(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        vals[i] = static_cast<double>(hemath::to_signed(pt.poly[i], p.t));
-      }
-      out.fft.resize(p.n / 2);
-      ctx_.fft().forward_into(vals, out.fft);
-      break;
+  };
+  if (backend_ == PolyMulBackend::kApproxFft) {
+    // One SoA lane-group sweep per SIMD width of polynomials, bit-identical
+    // to a forward_into per polynomial.
+    std::span<double> vals = frame.alloc<double>(count * p.n);
+    std::span<const double*> in = frame.alloc<const double*>(count);
+    std::span<fft::cplx*> spec = frame.alloc<fft::cplx*>(count);
+    for (std::size_t b = 0; b < count; ++b) {
+      lift(b, vals.subspan(b * p.n, p.n));
+      in[b] = vals.data() + b * p.n;
+      out[b].backend = backend_;
+      out[b].fft.resize(p.n / 2);
+      spec[b] = out[b].fft.data();
     }
-    case PolyMulBackend::kApproxFft: {
-      core::ScratchFrame frame(core::thread_scratch());
-      std::span<double> vals = frame.alloc<double>(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        vals[i] = static_cast<double>(hemath::to_signed(pt.poly[i], p.t));
+    approx_->forward_batch_into(in, spec, nullptr, &frame.arena());
+    return out;
+  }
+  std::span<double> vals = frame.alloc<double>(p.n);
+  for (std::size_t b = 0; b < count; ++b) {
+    out[b].backend = backend_;
+    switch (backend_) {
+      case PolyMulBackend::kNtt: {
+        std::vector<u64> lifted(p.n);
+        for (std::size_t i = 0; i < p.n; ++i) {
+          lifted[i] = hemath::from_signed(hemath::to_signed(pts[b].poly[i], p.t), p.q);
+        }
+        ctx_.ntt().forward(lifted);
+        out[b].ntt = std::move(lifted);
+        break;
       }
-      out.fft.resize(p.n / 2);
-      approx_->forward_into(vals, out.fft);
-      break;
-    }
-    case PolyMulBackend::kPow2: {
-      // Signed lift mod t into Z_{2^k}: negative weights wrap into the ring's
-      // upper half, exactly what u64 two's-complement masking produces.
-      out.pow2.resize(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        out.pow2[i] = pow2_->from_signed(hemath::to_signed(pt.poly[i], p.t));
+      case PolyMulBackend::kFft: {
+        lift(b, vals);
+        out[b].fft.resize(p.n / 2);
+        ctx_.fft().forward_into(vals, out[b].fft);
+        break;
       }
-      break;
+      case PolyMulBackend::kPow2: {
+        // Signed lift mod t into Z_{2^k}: negative weights wrap into the
+        // ring's upper half, exactly what u64 two's-complement masking
+        // produces.
+        out[b].pow2.resize(p.n);
+        for (std::size_t i = 0; i < p.n; ++i) {
+          out[b].pow2[i] = pow2_->from_signed(hemath::to_signed(pts[b].poly[i], p.t));
+        }
+        break;
+      }
+      case PolyMulBackend::kApproxFft:
+        break;  // batched above
     }
   }
   return out;

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bfv/context.hpp"
@@ -108,8 +109,17 @@ class PolyMulEngine {
   }
 
   /// Transform a plaintext (weight) polynomial into the backend's spectral
-  /// domain. Coefficients are lifted to signed representatives mod t.
+  /// domain. Coefficients are lifted to signed representatives mod t. This
+  /// is transform_plain_batch with one polynomial.
   PlainSpectrum transform_plain(const Plaintext& pt) const;
+
+  /// Transform a batch of plaintext polynomials; out[b] is bit-identical to
+  /// transform_plain(pts[b]). On kApproxFft the batch runs as FXP SoA lane
+  /// groups (FxpNegacyclicTransform::forward_batch_into), so callers hand in
+  /// simd_batch::active_group_lanes() polynomials at a time; the other
+  /// backends loop the single-transform body. plain_transforms counts one
+  /// per polynomial.
+  std::vector<PlainSpectrum> transform_plain_batch(std::span<const Plaintext> pts) const;
 
   /// Transform a ciphertext polynomial once; reused across output channels.
   CipherSpectrum transform_cipher_spectrum(const Poly& ct_poly) const;

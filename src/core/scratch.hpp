@@ -101,8 +101,10 @@ class ScratchArena {
     if (size < bytes + kAlign) size = bytes + kAlign;
     Chunk ch;
     // operator new guarantees alignment only up to __STDCPP_DEFAULT_NEW_ALIGNMENT__
-    // (16 on x86-64); over-allocate so the aligned start always fits.
-    ch.data = std::make_unique<std::byte[]>(size);
+    // (16 on x86-64); over-allocate so the aligned start always fits. Not
+    // zero-filled: alloc() promises no contents, and zeroing would make every
+    // page of a doubled chunk resident even where no frame reaches it.
+    ch.data = std::make_unique_for_overwrite<std::byte[]>(size);
     ch.size = size;
     const auto base = reinterpret_cast<std::uintptr_t>(ch.data.get());
     ch.start = align_up(base) - base;

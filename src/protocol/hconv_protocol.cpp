@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "encoding/matvec.hpp"
@@ -63,6 +64,31 @@ HConvResult HConvProtocol::run(const tensor::Tensor3& x, const tensor::Tensor4& 
   return run_stream(x, weights, next_stream_.fetch_add(1, std::memory_order_relaxed));
 }
 
+std::vector<bfv::PlainSpectrum> HConvProtocol::transform_weights(std::size_t count,
+                                                                 const EncodeFn& poly) const {
+  const auto& p = ctx_.params();
+  // Weight transforms (the FLASH-accelerated hot loop), embarrassingly
+  // parallel: groups of one SIMD lane width fan out over the pool, and each
+  // group is one batched transform. Workers rely on two per-thread/
+  // per-process guarantees from the transform layer: the first touch of a
+  // transform config builds its tables outside the cache shard lock
+  // (concurrent first-touches used to convoy the pool), and each worker's
+  // transform scratch comes from its own thread-local arena.
+  const std::size_t group = hemath::simd_batch::active_group_lanes();
+  std::vector<bfv::PlainSpectrum> spec(count);
+  core::for_range(pool_, (count + group - 1) / group, [&](std::size_t g) {
+    const std::size_t first = g * group;
+    std::vector<bfv::Plaintext> pts(std::min(group, count - first), ctx_.make_plaintext());
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+      const std::vector<i64> coeffs = poly(first + k);
+      for (std::size_t i = 0; i < p.n; ++i) pts[k].poly[i] = hemath::from_signed(coeffs[i], p.t);
+    }
+    std::vector<bfv::PlainSpectrum> out = evaluator_.engine().transform_plain_batch(pts);
+    std::move(out.begin(), out.end(), spec.begin() + static_cast<std::ptrdiff_t>(first));
+  });
+  return spec;
+}
+
 std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_weights(
     std::size_t in_h, std::size_t in_w, const tensor::Tensor4& weights) const {
   const auto& p = ctx_.params();
@@ -78,22 +104,15 @@ std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_wei
   prepared->out_channels = out_channels;
   prepared->kh = weights.kernel_h();
   prepared->kw = weights.kernel_w();
-  prepared->spec.assign(out_channels, std::vector<bfv::PlainSpectrum>(tiles));
-  // Weight transforms (the FLASH-accelerated hot loop), embarrassingly
-  // parallel over (output channel, tile) pairs. Workers rely on two
-  // per-thread/per-process guarantees from the transform layer: the first
-  // touch of a transform config builds its tables outside the cache shard
-  // lock (concurrent first-touches used to convoy the pool), and each
-  // worker's transform scratch comes from its own thread-local arena, so the
-  // steady-state loop does not allocate.
-  core::for_range(pool_, out_channels * tiles, [&](std::size_t idx) {
-    const std::size_t m = idx / tiles;
-    const std::size_t tile = idx % tiles;
-    bfv::Plaintext pt = ctx_.make_plaintext();
-    const std::vector<i64> coeffs = enc.encode_weight(weights, m, tile);
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = hemath::from_signed(coeffs[i], p.t);
-    prepared->spec[m][tile] = evaluator_.transform_plain(pt);
-  });
+  std::vector<bfv::PlainSpectrum> spec = transform_weights(
+      out_channels * tiles,
+      [&](std::size_t idx) { return enc.encode_weight(weights, idx / tiles, idx % tiles); });
+  prepared->spec.resize(out_channels);
+  for (std::size_t m = 0; m < out_channels; ++m) {
+    const auto row = spec.begin() + static_cast<std::ptrdiff_t>(m * tiles);
+    prepared->spec[m].assign(std::make_move_iterator(row),
+                             std::make_move_iterator(row + static_cast<std::ptrdiff_t>(tiles)));
+  }
   return prepared;
 }
 
@@ -248,15 +267,14 @@ HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
   // Server: one weight spectrum per matrix chunk, each multiplying the one
   // activation ciphertext.
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::vector<bfv::PlainSpectrum>> spec(chunks, std::vector<bfv::PlainSpectrum>(1));
+  std::vector<bfv::PlainSpectrum> chunk_spec = transform_weights(
+      chunks, [&](std::size_t chunk) { return enc.encode_matrix(w_row_major, chunk); });
+  std::vector<std::vector<bfv::PlainSpectrum>> spec(chunks);
   std::vector<std::vector<std::size_t>> positions(chunks);
-  core::for_range(pool_, chunks, [&](std::size_t chunk) {
-    bfv::Plaintext pt = ctx_.make_plaintext();
-    const std::vector<i64> coeffs = enc.encode_matrix(w_row_major, chunk);
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = hemath::from_signed(coeffs[i], p.t);
-    spec[chunk][0] = evaluator_.transform_plain(pt);
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    spec[chunk].push_back(std::move(chunk_spec[chunk]));
     positions[chunk] = enc.output_positions(chunk);
-  });
+  }
   round.profile.weight_transform_s += seconds_since(t0);
 
   t0 = std::chrono::steady_clock::now();

@@ -118,7 +118,9 @@ class HConvProtocol {
                          std::uint64_t stream, const PreparedWeights* cached = nullptr);
 
   /// Precompute the weight spectra for activations of shape
-  /// (weights.in_channels(), in_h, in_w). Fans out over the pool when set.
+  /// (weights.in_channels(), in_h, in_w): one batched transform per
+  /// simd_batch::active_group_lanes() (output channel, channel tile) pairs,
+  /// the groups fanned out over the pool when set.
   std::shared_ptr<const PreparedWeights> prepare_weights(std::size_t in_h, std::size_t in_w,
                                                          const tensor::Tensor4& weights) const;
 
@@ -144,6 +146,11 @@ class HConvProtocol {
   using EncodeFn = std::function<std::vector<i64>(std::size_t)>;
   /// Where output m's values sit in its product polynomial.
   using PositionsFn = std::function<std::span<const std::size_t>(std::size_t)>;
+
+  /// Weight spectra of polynomials 0..count-1 (poly(i) gives the signed
+  /// coefficients of polynomial i), transformed in groups of one SIMD lane
+  /// width that fan out over the pool. Conv and FC weights both go here.
+  std::vector<bfv::PlainSpectrum> transform_weights(std::size_t count, const EncodeFn& poly) const;
 
   /// The round both conv and FC layers run (Fig. 1 with Fig. 4(b)'s
   /// dataflow): the client encrypts its `polys` activation polynomials, the

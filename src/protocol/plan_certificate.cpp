@@ -2,16 +2,31 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "protocol/conv_geometry.hpp"
 
 namespace flash::protocol {
 
-PlanCertificate certify_conv(const bfv::BfvParams& params, bfv::PolyMulBackend backend,
-                             const std::optional<fft::FxpFftConfig>& approx_config,
-                             std::size_t in_c, std::size_t in_h, std::size_t in_w,
-                             const tensor::Tensor4& weights, std::size_t stride,
-                             std::size_t pad) {
+namespace {
+
+/// The plan phase with stream-block index `index` (ConvRunner::prepare
+/// builds one per live phase of the same enumeration).
+const ConvPlan::Phase& plan_phase(const ConvPlan& plan, std::size_t index) {
+  for (const ConvPlan::Phase& phase : plan.phases) {
+    if (phase.index == index) return phase;
+  }
+  throw std::invalid_argument("certify_plan: the plan has no phase for a unit of its conv");
+}
+
+/// Certify every unit of a conv and aggregate. With a plan, kApproxFft units
+/// read the plan's prepared spectra; pool fans each unit's output channels
+/// out.
+PlanCertificate certify_units(const bfv::BfvParams& params, bfv::PolyMulBackend backend,
+                              const std::optional<fft::FxpFftConfig>& approx_config,
+                              std::size_t in_c, std::size_t in_h, std::size_t in_w,
+                              const tensor::Tensor4& weights, std::size_t stride, std::size_t pad,
+                              const ConvPlan* plan, core::ThreadPool* pool) {
   PlanCertificate out;
   const std::vector<ConvUnit> units =
       enumerate_conv_units(params.n, in_c, in_h, in_w, weights, stride, pad);
@@ -28,6 +43,9 @@ PlanCertificate certify_conv(const bfv::BfvParams& params, bfv::PolyMulBackend b
     desc.in_h = u.patch_h;
     desc.in_w = u.patch_w;
     desc.weights = u.weights;
+    if (plan != nullptr && backend == bfv::PolyMulBackend::kApproxFft) {
+      desc.spectra = &plan_phase(*plan, u.phase.index).tiles.at({u.patch_h, u.patch_w})->spec;
+    }
 
     PlanCertificate::Unit unit;
     unit.phase_index = u.phase.index;
@@ -36,7 +54,7 @@ PlanCertificate certify_conv(const bfv::BfvParams& params, bfv::PolyMulBackend b
     unit.patch_h = u.patch_h;
     unit.patch_w = u.patch_w;
     unit.tile_count = u.tile_count;
-    unit.cert = analysis::certify_hconv_unit(desc);
+    unit.cert = analysis::certify_hconv_unit(desc, pool);
 
     using analysis::PipelineVerdict;
     all_proven = all_proven && unit.cert.verdict == PipelineVerdict::kProvenCorrectDecryption;
@@ -70,11 +88,22 @@ PlanCertificate certify_conv(const bfv::BfvParams& params, bfv::PolyMulBackend b
   return out;
 }
 
+}  // namespace
+
+PlanCertificate certify_conv(const bfv::BfvParams& params, bfv::PolyMulBackend backend,
+                             const std::optional<fft::FxpFftConfig>& approx_config,
+                             std::size_t in_c, std::size_t in_h, std::size_t in_w,
+                             const tensor::Tensor4& weights, std::size_t stride,
+                             std::size_t pad) {
+  return certify_units(params, backend, approx_config, in_c, in_h, in_w, weights, stride, pad,
+                       nullptr, nullptr);
+}
+
 PlanCertificate certify_plan(const bfv::BfvParams& params, bfv::PolyMulBackend backend,
                              const std::optional<fft::FxpFftConfig>& approx_config,
-                             const ConvPlan& plan) {
-  return certify_conv(params, backend, approx_config, plan.in_c, plan.in_h, plan.in_w,
-                      plan.weights, plan.stride, plan.pad);
+                             const ConvPlan& plan, core::ThreadPool* pool) {
+  return certify_units(params, backend, approx_config, plan.in_c, plan.in_h, plan.in_w,
+                       plan.weights, plan.stride, plan.pad, &plan, pool);
 }
 
 analysis::PipelineWitness materialize_plan_witness(const bfv::BfvParams& params,

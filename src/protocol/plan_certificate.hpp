@@ -40,17 +40,23 @@ struct PlanCertificate {
   }
 };
 
-/// Certify a conv workload from its spec (no prepared plan needed).
+/// Certify a conv workload from its spec (no prepared plan needed). Serial;
+/// on kApproxFft it transforms the weights itself, one batch per output
+/// channel.
 PlanCertificate certify_conv(const bfv::BfvParams& params, bfv::PolyMulBackend backend,
                              const std::optional<fft::FxpFftConfig>& approx_config,
                              std::size_t in_c, std::size_t in_h, std::size_t in_w,
                              const tensor::Tensor4& weights, std::size_t stride,
                              std::size_t pad);
 
-/// Certify a prepared plan (same decomposition by construction).
+/// Certify a prepared plan (same decomposition by construction). On
+/// kApproxFft each unit reads the plan's own weight spectra — the ones its
+/// requests multiply — so the certificate runs no FXP transform of its own.
+/// pool (optional, non-owning) fans each unit's output channels out. The
+/// result equals certify_conv's on the plan's conv, field for field.
 PlanCertificate certify_plan(const bfv::BfvParams& params, bfv::PolyMulBackend backend,
                              const std::optional<fft::FxpFftConfig>& approx_config,
-                             const ConvPlan& plan);
+                             const ConvPlan& plan, core::ThreadPool* pool = nullptr);
 
 /// The plan-level adversarial activation (all coefficients t/2): feeds every
 /// phase/tile of the decomposition the unit-level witness pattern.

@@ -188,22 +188,21 @@ void ConvFuture::on_terminal(std::function<void()> fn) {
 }
 
 /// One registered layer: its own protocol instance (per-plan seed and
-/// backend) plus the precomputed ConvPlan. Immutable after construction
-/// except for the stream counter.
+/// backend) plus the precomputed ConvPlan. register_plan fills conv_plan and
+/// certificate before it publishes the plan; immutable afterwards except for
+/// the stream counter.
 struct ConvServer::Plan {
   Plan(const PlanSpec& spec, core::ThreadPool* pool)
       : key(plan_key(spec)),
         protocol(*spec.ctx, spec.backend, spec.approx_config, spec.protocol_seed, pool),
-        runner(protocol, pool),
-        conv_plan(runner.prepare(spec.weights.in_channels(), spec.in_h, spec.in_w, spec.weights,
-                                 spec.stride, spec.pad)) {}
+        runner(protocol, pool) {}
 
   std::string key;
   protocol::HConvProtocol protocol;
   protocol::ConvRunner runner;
   std::shared_ptr<const protocol::ConvPlan> conv_plan;
   /// Decryption-correctness certificate, set at registration unless
-  /// CertifyPolicy::kOff; immutable afterwards (read without a lock).
+  /// CertifyPolicy::kOff (read without a lock once published).
   std::optional<protocol::PlanCertificate> certificate;
   std::atomic<std::uint64_t> next_stream{0};
 };
@@ -240,9 +239,18 @@ PlanId ConvServer::register_plan(const PlanSpec& spec) {
   // duplicate registration wastes one preparation; content-identical plans
   // still dedup below (first insert wins).
   auto plan = std::make_shared<Plan>(spec, options_.pool);
+  Clock::time_point t0 = now();
+  plan->conv_plan = plan->runner.prepare(spec.weights.in_channels(), spec.in_h, spec.in_w,
+                                         spec.weights, spec.stride, spec.pad);
+  metrics_.register_prepare.record_ns(elapsed_ns(t0, now()));
   if (options_.certify != CertifyPolicy::kOff) {
+    // The certificate reads the spectra just prepared; no FXP transform runs
+    // twice.
+    t0 = now();
     plan->certificate = protocol::certify_plan(spec.ctx->params(), spec.backend,
-                                               spec.approx_config, *plan->conv_plan);
+                                               spec.approx_config, *plan->conv_plan,
+                                               options_.pool);
+    metrics_.register_certify.record_ns(elapsed_ns(t0, now()));
     if (plan->certificate->proven()) {
       metrics_.plans_certified_proven.inc();
     } else if (options_.certify == CertifyPolicy::kEnforce) {

@@ -145,7 +145,11 @@ std::string ServerMetrics::to_json(std::int64_t pool_threads, std::int64_t pool_
   out << "},\n  \"gauges\": {\"queue_depth\": " << queue_depth.value()
       << ", \"inflight\": " << inflight.value() << "},\n  \"latency_ns\": {";
   const std::pair<const char*, const LatencyHistogram*> histograms[] = {
-      {"queue_wait", &queue_wait}, {"service", &service}, {"end_to_end", &end_to_end}};
+      {"queue_wait", &queue_wait},
+      {"service", &service},
+      {"end_to_end", &end_to_end},
+      {"register_prepare", &register_prepare},
+      {"register_certify", &register_certify}};
   for (std::size_t i = 0; i < std::size(histograms); ++i) {
     out << (i ? ", " : "") << "\"" << histograms[i].first << "\": ";
     append_histogram_json(out, *histograms[i].second);

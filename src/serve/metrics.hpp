@@ -119,6 +119,12 @@ class ServerMetrics {
   LatencyHistogram service;      // batch pickup -> completion
   LatencyHistogram end_to_end;   // admission -> completion
 
+  // Registration phases: one sample per weight-plan preparation and per
+  // certification register_plan runs (a deduplicated registration runs
+  // neither; CertifyPolicy::kOff skips certification).
+  LatencyHistogram register_prepare;
+  LatencyHistogram register_certify;
+
   void note_batch(std::size_t plan, std::size_t size);
   std::map<std::size_t, PlanBatchStats> plan_batches() const;
 
@@ -127,7 +133,9 @@ class ServerMetrics {
 
   /// JSON document:
   ///   {"counters": {...}, "gauges": {...},
-  ///    "latency_ns": {"queue_wait": {"count":..,"p50":..,"p95":..,"p99":..,"mean":..}, ...},
+  ///    "latency_ns": {"queue_wait": {"count":..,"p50":..,"p95":..,"p99":..,"mean":..},
+  ///                   "service": {..}, "end_to_end": {..},
+  ///                   "register_prepare": {..}, "register_certify": {..}},
   ///    "plans": {"<id>": {"batches":..,"requests":..,"max_batch":..}, ...},
   ///    "certificates": {"<id>": {"verdict": "...", "margin_bits": ..}, ...},
   ///    "transform_cache": {...}, "pool": {...}}

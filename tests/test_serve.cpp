@@ -16,6 +16,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "bfv/context.hpp"
@@ -74,6 +75,30 @@ TEST_F(ServeTest, PlanRegistrationDedupsByContent) {
   PlanSpec reseeded = spec_a();
   reseeded.protocol_seed ^= 1;
   EXPECT_NE(server.register_plan(reseeded), a1);
+}
+
+TEST_F(ServeTest, RegistrationRecordsPrepareAndCertifyOncePerPlan) {
+  const auto json_count = [](const ConvServer& server, const char* histogram) {
+    return json_number_at(server.metrics_json(), std::string("\"") + histogram + "\"", "count");
+  };
+  {
+    ConvServer server({.dispatchers = 0, .certify = CertifyPolicy::kWarn});
+    server.register_plan(spec_a());
+    EXPECT_EQ(server.metrics().register_prepare.count(), 1u);
+    EXPECT_EQ(server.metrics().register_certify.count(), 1u);
+    EXPECT_EQ(json_count(server, "register_prepare"), 1.0);
+    EXPECT_EQ(json_count(server, "register_certify"), 1.0);
+    // A deduplicated re-registration prepares and certifies nothing.
+    server.register_plan(spec_a());
+    EXPECT_EQ(json_count(server, "register_prepare"), 1.0);
+    EXPECT_EQ(json_count(server, "register_certify"), 1.0);
+  }
+  {
+    ConvServer server({.dispatchers = 0, .certify = CertifyPolicy::kOff});
+    server.register_plan(spec_a());
+    EXPECT_EQ(json_count(server, "register_prepare"), 1.0);
+    EXPECT_EQ(json_count(server, "register_certify"), 0.0);
+  }
 }
 
 TEST_F(ServeTest, ServedResultMatchesSerialRunnerAndCleartext) {

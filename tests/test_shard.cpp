@@ -374,6 +374,17 @@ TEST(ShardRouter, RouterAndWorkerMetricsAgreeAfterDrain) {
             static_cast<double>(kRequests));
 }
 
+TEST(ShardRouter, WorkerMetricsCarryRegistrationPhases) {
+  const auto layer = small_case(0x5a4f1);
+  ShardRouter router({.shards = 1, .certify = serve::CertifyPolicy::kWarn});
+  const ShardPlanId plan = router.register_plan(plan_from_case(layer));
+  // The worker's ConvServer document crosses the wire unchanged, so one
+  // registration shows up as one prepare and one certification sample.
+  const std::string json = router.worker_metrics_json(router.shard_of(plan));
+  EXPECT_EQ(serve::json_number_at(json, "\"register_prepare\"", "count"), 1.0) << json;
+  EXPECT_EQ(serve::json_number_at(json, "\"register_certify\"", "count"), 1.0) << json;
+}
+
 // --- chaos: kill/respawn (not under TSan — fork with live reader threads) --
 
 #if !defined(FLASH_TSAN)

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "bfv/polymul_engine.hpp"
 #include "core/flash_accelerator.hpp"
+#include "encoding/encoder.hpp"
 #include "fft/complex_fft.hpp"
 #include "fft/fxp_fft.hpp"
 #include "fft/negacyclic.hpp"
+#include "fft/transform_cache.hpp"
 #include "hemath/modular.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/pointwise.hpp"
@@ -400,6 +404,60 @@ TEST(SimdBatchKernels, NegacyclicFxpBatchBitIdenticalToSingles) {
                              std::span<double* const>(back_ptrs));
       for (std::size_t b = 0; b < batch; ++b) {
         ASSERT_EQ(back[b], back_ref[b]) << "batch=" << batch << " lane=" << b;
+      }
+    }
+  }
+}
+
+TEST(SimdBatchKernels, EngineWeightBatchBitIdenticalAtServedConfig) {
+  // The served kApproxFft weight transform: encoded 4-bit conv weights at
+  // N = 4096, t = 2^20 and high_accuracy_approx_config, batched through
+  // PolyMulEngine as HConvProtocol::prepare_weights batches them.
+  const auto params = bfv::BfvParams::create(4096, 20, 49);
+  const bfv::BfvContext ctx(params);
+  const auto cfg = core::high_accuracy_approx_config(params.n, params.t);
+  // Off the narrow path forward_batch_into runs one transform at a time:
+  // still bit-identical, but the batching gains nothing.
+  ASSERT_TRUE(fft::shared_fxp_transform(params.n, cfg)->fft().uses_narrow_path());
+  const bfv::PolyMulEngine engine(ctx, bfv::PolyMulBackend::kApproxFft, cfg);
+
+  // 64 channels of 10x10 under a 3x3 kernel: 40 channels per polynomial, so
+  // output channel m's weights span two channel tiles.
+  const encoding::ConvEncoder enc(params.n, 64, 10, 10, 3);
+  ASSERT_EQ(enc.geometry().channel_tiles(), 2u);
+  tensor::Tensor4 w(5, 64, 3, 3);
+  std::mt19937_64 rng(406);
+  for (auto& v : w.data()) v = static_cast<i64>(rng() % 15) - 7;
+  std::vector<bfv::Plaintext> pts;
+  for (std::size_t m = 0; m < 5; ++m) {
+    for (std::size_t tile = 0; tile < 2; ++tile) {
+      bfv::Plaintext pt = ctx.make_plaintext();
+      const std::vector<i64> coeffs = enc.encode_weight(w, m, tile);
+      for (std::size_t i = 0; i < params.n; ++i) {
+        pt.poly[i] = hemath::from_signed(coeffs[i], params.t);
+      }
+      pts.push_back(std::move(pt));
+    }
+  }
+
+  std::vector<bfv::PlainSpectrum> ref;
+  {
+    ScopedSimdLevel level(SimdLevel::kScalar);
+    for (std::size_t b = 0; b < 9; ++b) ref.push_back(engine.transform_plain(pts[b]));
+  }
+  for (SimdLevel lvl : supported_levels()) {
+    ScopedSimdLevel level(lvl);
+    for (std::size_t batch = 1; batch <= 9; ++batch) {
+      const std::uint64_t before = engine.counters().plain_transforms;
+      const std::vector<bfv::PlainSpectrum> out =
+          engine.transform_plain_batch(std::span<const bfv::Plaintext>(pts).first(batch));
+      EXPECT_EQ(engine.counters().plain_transforms - before, batch);
+      ASSERT_EQ(out.size(), batch);
+      for (std::size_t b = 0; b < batch; ++b) {
+        SCOPED_TRACE(std::string(hemath::simd::simd_level_name(lvl)) + " batch " +
+                     std::to_string(batch) + " lane " + std::to_string(b));
+        EXPECT_EQ(out[b].backend, bfv::PolyMulBackend::kApproxFft);
+        expect_bit_identical(out[b].fft, ref[b].fft);
       }
     }
   }
