@@ -16,13 +16,16 @@
 #include "bfv/evaluator.hpp"
 #include "core/flash_accelerator.hpp"
 #include "core/scratch.hpp"
+#include "encoding/encoder.hpp"
 #include "fft/negacyclic.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/pointwise.hpp"
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/simd.hpp"
+#include "protocol/conv_geometry.hpp"
 #include "sparsefft/executor.hpp"
+#include "tensor/resnet.hpp"
 
 namespace {
 
@@ -176,6 +179,51 @@ void BM_FxpFftForwardBatch8Into(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FxpFftForwardBatch8Into)->Arg(2048)->Arg(4096);
+
+/// Skip mode on the served weight path: eight encoded weight polynomials of
+/// the cold layer (ResNet-18 layer2.0.downsample, the resnet18_cold_stage2
+/// workload's layer) at the served 48-bit/k = 20 config, through its HConv
+/// unit's plan — each polynomial folds onto a handful of live FFT inputs.
+/// Compare BM_FxpFftForwardBatch8Into, which runs every butterfly.
+void BM_FxpFftForwardBatch8Live(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBatch = 8;
+  tensor::LayerConfig layer;
+  for (const tensor::LayerConfig& l : tensor::resnet18_conv_layers()) {
+    if (l.name == "layer2.0.downsample") layer = l;
+  }
+  tensor::Tensor4 w(kBatch, layer.in_c, layer.kernel, layer.kernel);
+  std::mt19937_64 rng(3);
+  for (auto& v : w.data()) v = static_cast<tensor::i64>(rng() % 15) - 7;
+  const protocol::ConvUnit unit =
+      protocol::enumerate_conv_units(n, layer.in_c, layer.in_h, layer.in_w, w, layer.stride,
+                                     layer.pad)
+          .front();
+  const encoding::ConvEncoder enc(n, layer.in_c, unit.patch_h, unit.patch_w,
+                                  unit.weights.kernel_h(), unit.weights.kernel_w());
+  const sparsefft::SparseFftPlan plan(n / 2, encoding::folded_weight_pattern(enc.geometry()));
+  fft::FxpNegacyclicTransform fxp(n, core::high_accuracy_approx_config(n, 1u << 20));
+  std::vector<std::vector<double>> a(kBatch);
+  std::vector<std::vector<fft::cplx>> spec(kBatch, std::vector<fft::cplx>(n / 2));
+  std::vector<const double*> a_ptrs(kBatch);
+  std::vector<fft::cplx*> spec_ptrs(kBatch);
+  for (std::size_t b = 0; b < kBatch; ++b) {
+    const std::vector<tensor::i64> coeffs = enc.encode_weight(unit.weights, b, 0);
+    a[b].assign(coeffs.begin(), coeffs.end());
+    a_ptrs[b] = a[b].data();
+    spec_ptrs[b] = spec[b].data();
+  }
+  core::ScratchArena& arena = core::thread_scratch();
+  const fft::ButterflySchedule& live = plan.schedule();
+  fxp.forward_batch_into(std::span<const double* const>(a_ptrs),
+                         std::span<fft::cplx* const>(spec_ptrs), nullptr, &arena, &live);  // warm
+  for (auto _ : state) {
+    fxp.forward_batch_into(std::span<const double* const>(a_ptrs),
+                           std::span<fft::cplx* const>(spec_ptrs), nullptr, &arena, &live);
+    benchmark::DoNotOptimize(spec[0].data());
+  }
+}
+BENCHMARK(BM_FxpFftForwardBatch8Live)->Arg(4096);
 
 void BM_PointwiseMulmod(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -352,7 +400,8 @@ bool pow2_beats_barrett_at_equal_width() {
 }  // namespace
 
 // --batch restricts the run to the batched-transform benchmarks — the record
-// set the committed BENCH_batch_pr7.json baseline gates in CI. Sugar for
+// set the committed BENCH_batch_pr7.json and BENCH_live_pr21.json baselines
+// gate in CI. Sugar for
 // --benchmark_filter=Batch that survives baseline re-records verbatim.
 // --backend pow2 likewise restricts to the Z_{2^k} benchmarks (the
 // BENCH_pow2_pr10.json record set) and additionally runs the

@@ -37,11 +37,10 @@ int main() {
   }
   std::printf("after bit-reverse: %s\n", shape);
 
-  // Fold onto the N/2-point FFT input and plan.
+  // Fold onto the N/2-point FFT input and plan (the plan the served
+  // kApproxFft weight transform runs for this geometry).
   const std::size_t m = n / 2;
-  std::vector<std::size_t> folded;
-  for (std::size_t p : pattern.nonzeros()) folded.push_back(p % m);
-  const sparsefft::SparsityPattern fold_pattern(m, std::move(folded));
+  const sparsefft::SparsityPattern fold_pattern = encoding::folded_weight_pattern(geo);
   const sparsefft::SparseFftPlan plan(m, fold_pattern);
   const sparsefft::PlanCost dense = sparsefft::SparseFftPlan::dense_cost(m);
 

@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <numbers>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/interval.hpp"
+#include "core/thread_annotations.hpp"
+#include "fft/transform_cache.hpp"
 #include "hemath/bitrev.hpp"
 
 namespace flash::analysis {
@@ -249,6 +255,41 @@ const StageReport* first_interval_violation(const AnalysisResult& result,
     }
   }
   return nullptr;
+}
+
+namespace {
+
+/// Overflow verdicts by design point and input bound. The lock guards only
+/// the map: an analysis runs outside it, and two threads racing on one key
+/// compute the same deterministic verdict.
+struct OverflowMemo {
+  std::mutex mu;
+  std::map<std::string, bool> verdicts FLASH_GUARDED_BY(mu);
+};
+
+OverflowMemo& overflow_memo() {
+  static OverflowMemo memo;  // leaked at exit by design (function-local static)
+  return memo;
+}
+
+}  // namespace
+
+bool negacyclic_overflow_free(std::size_t n, const fft::FxpFftConfig& config,
+                              double input_max_abs) {
+  std::ostringstream key;
+  key << fft::fxp_config_key(n, config) << '|' << std::hexfloat << input_max_abs;
+  OverflowMemo& memo = overflow_memo();
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    const auto it = memo.verdicts.find(key.str());
+    if (it != memo.verdicts.end()) return it->second;
+  }
+  AnalyzerOptions opts;
+  opts.input_max_abs = input_max_abs;
+  const bool ok = analyze_negacyclic(n, config, opts).overflow_free();
+  std::lock_guard<std::mutex> lock(memo.mu);
+  memo.verdicts.emplace(key.str(), ok);
+  return ok;
 }
 
 }  // namespace flash::analysis

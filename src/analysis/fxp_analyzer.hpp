@@ -96,6 +96,13 @@ AnalysisResult analyze_fxp_fft(std::size_t m, const fft::FxpFftConfig& config,
 AnalysisResult analyze_negacyclic(std::size_t n, const fft::FxpFftConfig& config,
                                   const AnalyzerOptions& options);
 
+/// analyze_negacyclic(n, config, {input_max_abs}).overflow_free(), memoized
+/// process-wide per (n, config, input_max_abs) — keyed like
+/// fft::shared_fxp_transform. The pipeline certifier asks this for every
+/// HConv unit of every plan, and the units of a layer share the question.
+bool negacyclic_overflow_free(std::size_t n, const fft::FxpFftConfig& config,
+                              double input_max_abs);
+
 /// Cross-check an empirical run against a proof: returns the report of the
 /// first stage whose observed peak mantissa exceeds the proven bound, or
 /// nullptr if every observation is inside its interval. `stats` must come

@@ -10,6 +10,7 @@
 #include "fft/negacyclic.hpp"
 #include "fft/transform_cache.hpp"
 #include "hemath/modular.hpp"
+#include "sparsefft/executor.hpp"
 
 namespace flash::analysis {
 
@@ -140,16 +141,19 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPo
     max_w = std::max(max_w, std::abs(static_cast<double>(v)));
   }
   if (is_approx) {
-    AnalyzerOptions opts;
-    opts.input_max_abs = std::max(1.0, max_w);
     cert.transform_overflow_free =
-        analyze_negacyclic(n, *desc.approx_config, opts).overflow_free();
+        negacyclic_overflow_free(n, *desc.approx_config, std::max(1.0, max_w));
   }
 
+  // The unit's plan — the one prepare_weights serves it with — schedules
+  // both transforms of ΔW: the FXP batch when the certifier transforms the
+  // weights itself, and the exact reference FFT.
   std::shared_ptr<const fft::NegacyclicFft> exact;
   std::shared_ptr<const fft::FxpNegacyclicTransform> fxp;
+  std::optional<sparsefft::SparseFftPlan> plan;
   if (is_approx) {
     exact = fft::shared_negacyclic_fft(n);
+    plan.emplace(n / 2, encoding::folded_weight_pattern(enc.geometry()));
     if (desc.spectra == nullptr) fxp = fft::shared_fxp_transform(n, *desc.approx_config);
   }
 
@@ -201,6 +205,8 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPo
     // otherwise computed with this channel's tiles as one FXP batch.
     if (is_approx) {
       const std::size_t half = n / 2;
+      const fft::ButterflySchedule& live = plan->schedule();
+      std::span<fft::cplx> z = frame.alloc<fft::cplx>(half);
       std::span<fft::cplx> spec_exact = frame.alloc<fft::cplx>(half);
       std::span<fft::cplx> spec_fxp;
       if (desc.spectra == nullptr) {
@@ -211,10 +217,11 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPo
           in[tile] = wd.data() + tile * n;
           out[tile] = spec_fxp.data() + tile * half;
         }
-        fxp->forward_batch_into(in, out, nullptr, &frame.arena());
+        fxp->forward_batch_into(in, out, nullptr, &frame.arena(), &live);
       }
       for (std::size_t tile = 0; tile < tiles; ++tile) {
-        exact->forward_into(wd.subspan(tile * n, n), spec_exact);
+        exact->fold_into(wd.subspan(tile * n, n), z, &live);
+        sparsefft::execute_into(*plan, z, spec_exact);
         const fft::cplx* approx = desc.spectra != nullptr ? (*desc.spectra)[m][tile].fft.data()
                                                           : spec_fxp.data() + tile * half;
         for (std::size_t k = 0; k < half; ++k) {

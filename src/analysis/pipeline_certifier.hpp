@@ -45,13 +45,17 @@
 //              maximizes the share-wrap variance (P(wrap) = 1/2 per slot).
 //
 // The model describes the transforms the served path runs: on kApproxFft
-// the weight transform is the dense batched FxpNegacyclicTransform::
-// forward_batch_into (bfv/polymul_engine.cpp), bit-identical to a loop of
-// forward_into at every SIMD level (tests/test_simd_kernels.cpp pins this at
-// the served config). A plan's certificate reads that plan's own spectra
-// (HConvUnitDesc::spectra); without them the certifier runs the same
-// transform on the same signed coefficients. The sparse executors never run
-// on the served path, so they are not covered by a certificate.
+// the weight transform is FxpNegacyclicTransform::forward_batch_into in skip
+// mode on the unit's sparsefft::SparseFftPlan (bfv/polymul_engine.cpp,
+// HConvProtocol::prepare_weights), bit-identical to the dense transform and
+// to a loop of forward_into at every SIMD level (tests/test_live_fxp.cpp and
+// tests/test_simd_kernels.cpp pin this at the served config). A plan's
+// certificate reads that plan's own spectra (HConvUnitDesc::spectra);
+// without them the certifier runs the same skip-mode transform on the same
+// signed coefficients. The exact reference FFT of ΔW runs sparsefft's exact
+// executor on the same plan, bit-identical to the dense double FFT. The
+// overflow proof is memoized per (n, config, max |w|)
+// (negacyclic_overflow_free).
 #pragma once
 
 #include <optional>
@@ -131,8 +135,9 @@ inline constexpr double kWitnessPeakFactor = 3.0;
 /// Certify one unit. Cheap relative to executing it: per output channel, the
 /// share-wrap variance costs O(nnz × occupied runs + N) (difference arrays
 /// over the runs of occupied slots, exact in integers), and on kApproxFft
-/// each channel tile adds one exact double FFT — plus the FXP transforms,
-/// one batch per channel, when desc.spectra is null. pool (optional,
+/// each channel tile adds one exact double FFT of the unit's plan — plus the
+/// skip-mode FXP transforms, one batch per channel, when desc.spectra is
+/// null. pool (optional,
 /// non-owning) fans the output channels out; their ledgers merge in channel
 /// order, so the certificate does not depend on the thread count.
 PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc,

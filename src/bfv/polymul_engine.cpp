@@ -37,7 +37,7 @@ PlainSpectrum PolyMulEngine::transform_plain(const Plaintext& pt) const {
 }
 
 std::vector<PlainSpectrum> PolyMulEngine::transform_plain_batch(
-    std::span<const Plaintext> pts) const {
+    std::span<const Plaintext> pts, const fft::ButterflySchedule* live) const {
   const auto& p = ctx_.params();
   const std::size_t count = pts.size();
   std::vector<PlainSpectrum> out(count);
@@ -51,7 +51,7 @@ std::vector<PlainSpectrum> PolyMulEngine::transform_plain_batch(
   };
   if (backend_ == PolyMulBackend::kApproxFft) {
     // One SoA lane-group sweep per SIMD width of polynomials, bit-identical
-    // to a forward_into per polynomial.
+    // to a forward_into per polynomial; skip mode when `live` is given.
     std::span<double> vals = frame.alloc<double>(count * p.n);
     std::span<const double*> in = frame.alloc<const double*>(count);
     std::span<fft::cplx*> spec = frame.alloc<fft::cplx*>(count);
@@ -62,7 +62,7 @@ std::vector<PlainSpectrum> PolyMulEngine::transform_plain_batch(
       out[b].fft.resize(p.n / 2);
       spec[b] = out[b].fft.data();
     }
-    approx_->forward_batch_into(in, spec, nullptr, &frame.arena());
+    approx_->forward_batch_into(in, spec, nullptr, &frame.arena(), live);
     return out;
   }
   std::span<double> vals = frame.alloc<double>(p.n);

@@ -119,7 +119,13 @@ class PolyMulEngine {
   /// simd_batch::active_group_lanes() polynomials at a time; the other
   /// backends loop the single-transform body. plain_transforms counts one
   /// per polynomial.
-  std::vector<PlainSpectrum> transform_plain_batch(std::span<const Plaintext> pts) const;
+  ///
+  /// `live` (kApproxFft only; the others ignore it) is the butterfly
+  /// schedule of the polynomials' folded weight pattern: the FXP transform
+  /// then runs skip mode, bit-identical to the dense one. Every polynomial
+  /// must be zero outside the pattern (std::invalid_argument otherwise).
+  std::vector<PlainSpectrum> transform_plain_batch(
+      std::span<const Plaintext> pts, const fft::ButterflySchedule* live = nullptr) const;
 
   /// Transform a ciphertext polynomial once; reused across output channels.
   CipherSpectrum transform_cipher_spectrum(const Poly& ct_poly) const;

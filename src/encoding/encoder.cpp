@@ -95,18 +95,30 @@ std::vector<i64> ConvEncoder::extract_output(const std::vector<i64>& product) co
   return out;
 }
 
-sparsefft::SparsityPattern ConvEncoder::weight_pattern() const {
-  const std::size_t cpp = geo_.channels_per_poly();
+namespace {
+/// Coefficients an encoded weight polynomial of `geo` can occupy, reduced
+/// mod `fold` (geo.n: the polynomial itself; geo.n / 2: the FFT input).
+sparsefft::SparsityPattern weight_positions(const ConvGeometry& geo, std::size_t fold) {
+  const std::size_t cpp = geo.channels_per_poly();
   std::vector<std::size_t> nz;
-  nz.reserve(cpp * geo_.kh() * geo_.kw());
+  nz.reserve(cpp * geo.kh() * geo.kw());
   for (std::size_t local = 0; local < cpp; ++local) {
-    for (std::size_t i = 0; i < geo_.kh(); ++i) {
-      for (std::size_t j = 0; j < geo_.kw(); ++j) {
-        nz.push_back(local * geo_.h * geo_.w + i * geo_.w + j);
+    for (std::size_t i = 0; i < geo.kh(); ++i) {
+      for (std::size_t j = 0; j < geo.kw(); ++j) {
+        nz.push_back((local * geo.h * geo.w + i * geo.w + j) % fold);
       }
     }
   }
-  return sparsefft::SparsityPattern(geo_.n, std::move(nz));
+  return sparsefft::SparsityPattern(fold, std::move(nz));
+}
+}  // namespace
+
+sparsefft::SparsityPattern ConvEncoder::weight_pattern() const {
+  return weight_positions(geo_, geo_.n);
+}
+
+sparsefft::SparsityPattern folded_weight_pattern(const ConvGeometry& geometry) {
+  return weight_positions(geometry, geometry.n / 2);
 }
 
 tensor::Tensor3 conv2d_via_encoding(const tensor::Tensor3& x, const tensor::Tensor4& weights,

@@ -84,6 +84,13 @@ class ConvEncoder {
   ConvGeometry geo_;
 };
 
+/// ConvEncoder::weight_pattern() of `geometry` folded onto the N/2-point FFT
+/// input: coefficient p lands on position p mod N/2 (the negacyclic fold
+/// z[s] = a[s] + i·a[s + N/2]). One SparseFftPlan built on it serves every
+/// weight polynomial of the geometry — the served skip-mode weight
+/// transform and the certifier's reference FFT both run it.
+sparsefft::SparsityPattern folded_weight_pattern(const ConvGeometry& geometry);
+
 /// Full cleartext homomorphic-free reference: encode, schoolbook-multiply in
 /// Z (negacyclic), accumulate tiles, extract. Used by tests to validate the
 /// encoding against direct conv2d, and by examples as the plaintext path.

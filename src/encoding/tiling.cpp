@@ -19,18 +19,7 @@ std::size_t next_pow2(std::size_t v) {
 
 double sparse_weight_fraction(const ConvGeometry& geometry) {
   const std::size_t m = geometry.n / 2;
-  const std::size_t cpp = geometry.channels_per_poly();
-  std::vector<std::size_t> folded;
-  folded.reserve(cpp * geometry.k * geometry.k);
-  for (std::size_t local = 0; local < cpp; ++local) {
-    for (std::size_t i = 0; i < geometry.k; ++i) {
-      for (std::size_t j = 0; j < geometry.k; ++j) {
-        folded.push_back((local * geometry.h * geometry.w + i * geometry.w + j) % m);
-      }
-    }
-  }
-  const sparsefft::SparsityPattern pattern(m, std::move(folded));
-  const sparsefft::SparseFftPlan plan(m, pattern);
+  const sparsefft::SparseFftPlan plan(m, folded_weight_pattern(geometry));
   const sparsefft::PlanCost dense = sparsefft::SparseFftPlan::dense_cost(m);
   if (dense.merged_mults == 0) return 1.0;
   return static_cast<double>(plan.cost().merged_mults) / static_cast<double>(dense.merged_mults);

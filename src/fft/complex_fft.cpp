@@ -31,12 +31,6 @@ FftPlan::FftPlan(std::size_t m, int sign) : m_(m), sign_(sign) {
   }
 }
 
-cplx FftPlan::twiddle(int stage, std::size_t j) const {
-  // Stage s (1-based) uses W_M^(j * M / 2^s) for j in [0, 2^(s-1)).
-  const std::size_t stride = m_ >> stage;
-  return root_pow_[j * stride];
-}
-
 void FftPlan::forward(std::span<cplx> a) const {
   if (a.size() != m_) throw std::invalid_argument("FftPlan::forward: size mismatch");
   hemath::bit_reverse_permute(a);

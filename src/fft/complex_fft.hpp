@@ -32,9 +32,10 @@ class FftPlan {
   int stages() const { return log_m_; }
   int sign() const { return sign_; }
 
-  /// Twiddle W_M^(sign * j * M / 2^s) used at stage s (1-based) for butterfly
-  /// offset j within a block; exposed for the sparse planner and FXP FFT.
-  cplx twiddle(int stage, std::size_t j) const;
+  /// W_M^(sign * j) for j in [0, M/2), indexed by twiddle power: the table
+  /// every stage reads. sparsefft's exact executor reads it too, so its
+  /// scheduled butterflies compute this plan's doubles.
+  std::span<const cplx> root_powers() const { return root_pow_; }
 
   /// In-place transform: standard-order input, standard-order output
   /// (bit-reversal applied internally, then DIT stages).

@@ -1,12 +1,16 @@
-// AVX2 kernel for one narrow-path fixed-point DIT stage. Compiled with
-// -mavx2 in its own TU; the driver (fxp_fft.cpp) only calls it when the CPU
-// reports AVX2 and the stage has >= 4 blocks.
+// AVX2 kernels for narrow-path fixed-point DIT stages: the dense
+// single-transform stage and the 4-lane SoA live-op stage. Compiled with
+// -mavx2 in its own TU; fxp_fft.cpp dispatches to them only when the
+// active level grants AVX2 (and, for the single-transform stage, when the
+// stage has >= 4 blocks).
 //
-// Vectorization axis: four *blocks* sharing one twiddle per iteration, so
-// all four lanes execute identical shift counts (AVX2 has no per-lane
-// 64-bit variable shifts worth using here) and the CSD digit loop stays
-// scalar control flow with vector data. Block counts are powers of two, so
-// there is never a remainder once >= 4. Every lane computes exactly the
+// Vectorization axis of the single-transform stage: four *blocks* sharing
+// one twiddle per iteration, so all four lanes execute identical shift
+// counts (AVX2 has no per-lane 64-bit variable shifts worth using here) and
+// the CSD digit loop stays scalar control flow with vector data. Block
+// counts are powers of two, so there is never a remainder once >= 4. The
+// live-op stage vectorizes across four *polynomials* instead (SoA rows, one
+// op per iteration; see fxp_kernels.hpp). Every lane computes exactly the
 // scalar narrow path's int64 operations — the constructor's interval
 // analysis guarantees no lane overflows — hence bit-identical outputs; the
 // stats it produces are order-independent aggregates (sums, maxima) equal
@@ -79,6 +83,13 @@ inline __m256i requant4(__m256i v, int shift, bool round_nearest, __m256i lim, _
 inline __m256i abs64(__m256i x) {
   const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
   return _mm256_blendv_epi8(x, _mm256_sub_epi64(_mm256_setzero_si256(), x), neg);
+}
+
+/// Running per-lane peak of |v|. Outputs are <= lim < 2^62, so the signed
+/// compare orders the absolute values.
+inline __m256i abs_max4(__m256i peak, __m256i v) {
+  const __m256i a = abs64(v);
+  return _mm256_blendv_epi8(peak, a, _mm256_cmpgt_epi64(a, peak));
 }
 
 }  // namespace
@@ -165,60 +176,81 @@ void fxp_stage_avx2(std::int64_t* re, std::int64_t* im, const FxpStageParams& p,
   }
 }
 
-void fxp_stage_batch_avx2(std::int64_t* re, std::int64_t* im, std::size_t active_lanes,
-                          const FxpStageParams& p, FxpFftStats* stats) {
+void fxp_live_stage_avx2(std::int64_t* re, std::int64_t* im, std::size_t active_lanes,
+                         const FxpStageParams& p, FxpFftStats* stats) {
   constexpr std::size_t g = 4;  // SoA lanes per vector
-  const std::size_t len = p.half * 2;
-  const std::size_t nblocks = p.m / len;
   const __m256i lim = _mm256_set1_epi64x(p.lim);
   const __m256i neg_lim = _mm256_set1_epi64x(-p.lim);
+  const __m256i zero = _mm256_setzero_si256();
   std::uint64_t sats = 0;
   std::uint64_t terms = 0;
-  __m256i peak = _mm256_setzero_si256();
+  __m256i peak = zero;
+  const auto load = [](const std::int64_t* src) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+  };
+  const auto store = [](std::int64_t* dst, __m256i x) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), x);
+  };
 
-  for (std::size_t j = 0; j < p.half; ++j) {
-    const NarrowTwiddle& tw = p.tw[j * p.stride];
+  for (const ButterflyOp& op : p.ops) {
+    const std::size_t u = std::size_t{op.u} * g;
+    const std::size_t v = std::size_t{op.v} * g;
+    if (op.kind == OpKind::kCopy) {
+      // u + W*0 = u: one requantization, written to (and counted for) both
+      // outputs.
+      std::uint64_t copy_sats = 0;
+      const __m256i out_re =
+          requant4(load(re + u), p.shift, p.round_nearest, lim, neg_lim, &copy_sats);
+      const __m256i out_im =
+          requant4(load(im + u), p.shift, p.round_nearest, lim, neg_lim, &copy_sats);
+      sats += 2 * copy_sats;
+      peak = abs_max4(abs_max4(peak, out_re), out_im);
+      store(re + u, out_re);
+      store(im + u, out_im);
+      store(re + v, out_re);
+      store(im + v, out_im);
+      continue;
+    }
+
+    const NarrowTwiddle& tw = p.tw[op.twiddle_index];
     const NarrowDigit* wre = p.pool + tw.re_off;
     const NarrowDigit* wim = p.pool + tw.im_off;
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      const std::size_t u = (b * len + j) * g;
-      const std::size_t v = u + p.half * g;
-      const __m256i ure = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(re + u));
-      const __m256i uim = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(im + u));
-      const __m256i vre = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(re + v));
-      const __m256i vim = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(im + v));
+    const __m256i vre = load(re + v);
+    const __m256i vim = load(im + v);
+    const __m256i rr = csd4(vre, wre, tw.re_cnt, p.round_nearest);
+    const __m256i ii = csd4(vim, wim, tw.im_cnt, p.round_nearest);
+    const __m256i ri = csd4(vre, wim, tw.im_cnt, p.round_nearest);
+    const __m256i ir = csd4(vim, wre, tw.re_cnt, p.round_nearest);
+    const __m256i tre = _mm256_sub_epi64(rr, ii);
+    const __m256i tim = _mm256_add_epi64(ri, ir);
+    terms += 2u * (tw.re_cnt + tw.im_cnt);
 
-      const __m256i rr = csd4(vre, wre, tw.re_cnt, p.round_nearest);
-      const __m256i ii = csd4(vim, wim, tw.im_cnt, p.round_nearest);
-      const __m256i ri = csd4(vre, wim, tw.im_cnt, p.round_nearest);
-      const __m256i ir = csd4(vim, wre, tw.re_cnt, p.round_nearest);
-      const __m256i tre = _mm256_sub_epi64(rr, ii);
-      const __m256i tim = _mm256_add_epi64(ri, ir);
-
-      const __m256i out_ure = requant4(_mm256_add_epi64(ure, tre), p.shift, p.round_nearest, lim,
-                                       neg_lim, &sats);
-      const __m256i out_uim = requant4(_mm256_add_epi64(uim, tim), p.shift, p.round_nearest, lim,
-                                       neg_lim, &sats);
-      const __m256i out_vre = requant4(_mm256_sub_epi64(ure, tre), p.shift, p.round_nearest, lim,
-                                       neg_lim, &sats);
-      const __m256i out_vim = requant4(_mm256_sub_epi64(uim, tim), p.shift, p.round_nearest, lim,
-                                       neg_lim, &sats);
-
-      peak = _mm256_blendv_epi8(peak, abs64(out_ure),
-                                _mm256_cmpgt_epi64(abs64(out_ure), peak));
-      peak = _mm256_blendv_epi8(peak, abs64(out_uim),
-                                _mm256_cmpgt_epi64(abs64(out_uim), peak));
-      peak = _mm256_blendv_epi8(peak, abs64(out_vre),
-                                _mm256_cmpgt_epi64(abs64(out_vre), peak));
-      peak = _mm256_blendv_epi8(peak, abs64(out_vim),
-                                _mm256_cmpgt_epi64(abs64(out_vim), peak));
-
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(re + u), out_ure);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(im + u), out_uim);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(re + v), out_vre);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(im + v), out_vim);
+    __m256i out_ure, out_uim, out_vre, out_vim;
+    if (op.kind == OpKind::kFull) {
+      const __m256i ure = load(re + u);
+      const __m256i uim = load(im + u);
+      out_ure = requant4(_mm256_add_epi64(ure, tre), p.shift, p.round_nearest, lim, neg_lim, &sats);
+      out_uim = requant4(_mm256_add_epi64(uim, tim), p.shift, p.round_nearest, lim, neg_lim, &sats);
+      out_vre = requant4(_mm256_sub_epi64(ure, tre), p.shift, p.round_nearest, lim, neg_lim, &sats);
+      out_vim = requant4(_mm256_sub_epi64(uim, tim), p.shift, p.round_nearest, lim, neg_lim, &sats);
+    } else {  // kMulOnly: 0 + Wv and 0 - Wv, each rounded on its own
+      out_ure = requant4(tre, p.shift, p.round_nearest, lim, neg_lim, &sats);
+      out_uim = requant4(tim, p.shift, p.round_nearest, lim, neg_lim, &sats);
+      if (p.odd_mirror) {
+        out_vre = _mm256_sub_epi64(zero, out_ure);
+        out_vim = _mm256_sub_epi64(zero, out_uim);
+      } else {
+        out_vre = requant4(_mm256_sub_epi64(zero, tre), p.shift, p.round_nearest, lim, neg_lim,
+                           &sats);
+        out_vim = requant4(_mm256_sub_epi64(zero, tim), p.shift, p.round_nearest, lim, neg_lim,
+                           &sats);
+      }
     }
-    terms += nblocks * 2u * (tw.re_cnt + tw.im_cnt);
+    peak = abs_max4(abs_max4(abs_max4(abs_max4(peak, out_ure), out_uim), out_vre), out_vim);
+    store(re + u, out_ure);
+    store(im + u, out_uim);
+    store(re + v, out_vre);
+    store(im + v, out_vim);
   }
 
   if (stats != nullptr) {
@@ -228,9 +260,9 @@ void fxp_stage_batch_avx2(std::int64_t* re, std::int64_t* im, std::size_t active
     for (std::int64_t lane : lanes) {
       stage_peak = std::max(stage_peak, static_cast<std::uint64_t>(lane));
     }
-    // Per-butterfly counters scale by the real lane count; the saturation
-    // count needs no masking because padded (zero) lanes never clamp.
-    stats->butterflies += p.half * nblocks * active_lanes;
+    // Per-op counters scale by the real lane count; the saturation count
+    // needs no masking because padded (zero) lanes never clamp.
+    stats->butterflies += p.ops.size() * active_lanes;
     stats->shift_add_terms += terms * active_lanes;
     stats->saturations += sats;
     auto& peaks = stats->stage_peak_mantissa;
@@ -249,8 +281,8 @@ namespace flash::fft::detail {
 void fxp_stage_avx2(std::int64_t*, std::int64_t*, const FxpStageParams&, FxpFftStats*) {
   std::abort();
 }
-void fxp_stage_batch_avx2(std::int64_t*, std::int64_t*, std::size_t, const FxpStageParams&,
-                          FxpFftStats*) {
+void fxp_live_stage_avx2(std::int64_t*, std::int64_t*, std::size_t, const FxpStageParams&,
+                         FxpFftStats*) {
   std::abort();
 }
 }  // namespace flash::fft::detail

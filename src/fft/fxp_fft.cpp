@@ -1,6 +1,8 @@
 #include "fft/fxp_fft.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -17,6 +19,8 @@ namespace {
 using i64 = std::int64_t;
 using i128 = __int128;
 using u128 = unsigned __int128;
+
+std::atomic<bool> g_odd_mirror{false};  // testing_hooks fault, off in service
 
 struct FxpComplex {
   i64 re = 0;
@@ -230,6 +234,66 @@ void fxp_stage_scalar(i64* re, i64* im, const detail::FxpStageParams& p, FxpFftS
   }
 }
 
+/// Scalar live-op stage (one transform, rows of one lane): the reference
+/// the SoA kernels of fxp_kernels.hpp must match bit for bit.
+void fxp_live_stage_scalar(i64* re, i64* im, const detail::FxpStageParams& p,
+                           FxpFftStats* stats) {
+  const auto mag = [](i64 x) { return static_cast<std::uint64_t>(x < 0 ? -x : x); };
+  std::uint64_t sats = 0;
+  std::uint64_t terms = 0;
+  std::uint64_t peak = 0;
+  for (const ButterflyOp& op : p.ops) {
+    if (op.kind == OpKind::kCopy) {
+      // u + W*0 = u: one requantization, written to (and counted for) both
+      // outputs.
+      std::uint64_t copy_sats = 0;
+      const i64 out_re = requantize_narrow(re[op.u], p.shift, p.round_nearest, p.lim, &copy_sats);
+      const i64 out_im = requantize_narrow(im[op.u], p.shift, p.round_nearest, p.lim, &copy_sats);
+      sats += 2 * copy_sats;
+      re[op.u] = re[op.v] = out_re;
+      im[op.u] = im[op.v] = out_im;
+      peak = std::max(peak, std::max(mag(out_re), mag(out_im)));
+      continue;
+    }
+    const detail::NarrowTwiddle& tw = p.tw[op.twiddle_index];
+    const detail::NarrowDigit* wre = p.pool + tw.re_off;
+    const detail::NarrowDigit* wim = p.pool + tw.im_off;
+    const i64 vr = re[op.v];
+    const i64 vi = im[op.v];
+    const i64 tre = csd_narrow(vr, wre, tw.re_cnt, p.round_nearest) -
+                    csd_narrow(vi, wim, tw.im_cnt, p.round_nearest);
+    const i64 tim = csd_narrow(vr, wim, tw.im_cnt, p.round_nearest) +
+                    csd_narrow(vi, wre, tw.re_cnt, p.round_nearest);
+    terms += 2u * (tw.re_cnt + tw.im_cnt);
+    if (op.kind == OpKind::kFull) {
+      const i64 ure = re[op.u];
+      const i64 uim = im[op.u];
+      re[op.u] = requantize_narrow(ure + tre, p.shift, p.round_nearest, p.lim, &sats);
+      im[op.u] = requantize_narrow(uim + tim, p.shift, p.round_nearest, p.lim, &sats);
+      re[op.v] = requantize_narrow(ure - tre, p.shift, p.round_nearest, p.lim, &sats);
+      im[op.v] = requantize_narrow(uim - tim, p.shift, p.round_nearest, p.lim, &sats);
+    } else {  // kMulOnly: 0 + Wv and 0 - Wv, each rounded on its own
+      re[op.u] = requantize_narrow(tre, p.shift, p.round_nearest, p.lim, &sats);
+      im[op.u] = requantize_narrow(tim, p.shift, p.round_nearest, p.lim, &sats);
+      if (p.odd_mirror) {
+        re[op.v] = -re[op.u];
+        im[op.v] = -im[op.u];
+      } else {
+        re[op.v] = requantize_narrow(-tre, p.shift, p.round_nearest, p.lim, &sats);
+        im[op.v] = requantize_narrow(-tim, p.shift, p.round_nearest, p.lim, &sats);
+      }
+    }
+    peak = std::max(peak, std::max(std::max(mag(re[op.u]), mag(im[op.u])),
+                                   std::max(mag(re[op.v]), mag(im[op.v]))));
+  }
+  if (stats != nullptr) {
+    stats->butterflies += p.ops.size();
+    stats->shift_add_terms += terms;
+    stats->saturations += sats;
+    note_peak_value(stats, p.stage_idx, peak);
+  }
+}
+
 /// Interval bound of |csd_multiply(m, w)| for |m| <= lim, including the
 /// per-digit round-add, evaluated exactly in 128 bits.
 u128 csd_bound(const CsdValue& w, u128 lim) {
@@ -348,6 +412,7 @@ void FxpFft::build_narrow_plan() {
     std::tie(nt.im_off, nt.im_cnt) = push_digits(w.im);
     narrow_tw_.push_back(nt);
   }
+  full_schedule_.emplace(ButterflySchedule::full(m_));
   narrow_ok_ = true;
 }
 
@@ -447,18 +512,6 @@ void FxpFft::forward_into(std::span<const cplx> in, std::span<cplx> out, FxpFftS
 
 namespace {
 
-/// Bit-reversal permutation of an SoA buffer: swaps g-element rows.
-void bit_reverse_permute_rows(i64* buf, std::size_t m, int log_m, std::size_t g) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t r = hemath::bit_reverse(static_cast<std::uint32_t>(i), log_m);
-    if (r > i) {
-      i64* a = buf + i * g;
-      i64* b = buf + r * g;
-      for (std::size_t l = 0; l < g; ++l) std::swap(a[l], b[l]);
-    }
-  }
-}
-
 /// Lane-group width for the batched narrow path at the active SIMD level,
 /// following the same dispatch matrix as hemath/simd_batch: a remainder of
 /// 2..4 at the AVX-512 level drops to the 4-lane kernel.
@@ -471,17 +524,21 @@ std::size_t fxp_group_width(std::size_t remaining) {
 
 }  // namespace
 
-void FxpFft::forward_group_narrow(const cplx* const* in, cplx* const* out, std::size_t count,
-                                  std::size_t g, FxpFftStats* stats,
-                                  core::ScratchArena* arena_p) const {
+void FxpFft::forward_group_live(const cplx* const* in, cplx* const* out, std::size_t count,
+                                std::size_t g, const ButterflySchedule& live, FxpFftStats* stats,
+                                core::ScratchArena* arena_p) const {
   core::ScratchArena& arena = core::scratch_or_thread(arena_p);
   core::ScratchFrame frame(arena);
   std::span<i64> re = frame.alloc<i64>(m_ * g);
   std::span<i64> im = frame.alloc<i64>(m_ * g);
   const double in_scale = std::ldexp(1.0, config_.input_frac_bits);
-  for (std::size_t i = 0; i < m_; ++i) {
-    i64* rrow = re.data() + i * g;
-    i64* irow = im.data() + i * g;
+  // Only live inputs are quantized, each straight onto its bit-reversed
+  // row; no op reads a dead row before writing it.
+  const std::vector<std::uint32_t>& inputs = live.live_inputs();
+  for (std::uint32_t i : inputs) {
+    const std::size_t row = hemath::bit_reverse(i, log_m_) * g;
+    i64* rrow = re.data() + row;
+    i64* irow = im.data() + row;
     for (std::size_t l = 0; l < count; ++l) {
       rrow[l] = quantize_to_mantissa(in[l][i].real(), in_scale, config_.data_width, stats);
       irow[l] = quantize_to_mantissa(in[l][i].imag(), in_scale, config_.data_width, stats);
@@ -492,30 +549,36 @@ void FxpFft::forward_group_narrow(const cplx* const* in, cplx* const* out, std::
       irow[l] = 0;
     }
   }
-  bit_reverse_permute_rows(re.data(), m_, log_m_, g);
-  bit_reverse_permute_rows(im.data(), m_, log_m_, g);
 
+  const bool odd_mirror = g_odd_mirror.load(std::memory_order_relaxed);
   int frac = config_.input_frac_bits;
   for (int s = 1; s <= log_m_; ++s) {
     const int out_frac = config_.stage_frac_bits[static_cast<std::size_t>(s - 1)];
     detail::FxpStageParams p;
     p.pool = digit_pool_.data();
     p.tw = narrow_tw_.data();
-    p.m = m_;
-    p.half = std::size_t{1} << (s - 1);
-    p.stride = m_ >> s;
     p.stage_idx = static_cast<std::size_t>(s);
     p.shift = frac - out_frac;
     p.lim = (i64{1} << (config_.data_width - 1)) - 1;
     p.round_nearest = config_.rounding == RoundingMode::kRoundToNearest;
+    p.ops = live.stage(s - 1);
+    p.odd_mirror = odd_mirror;
     if (g == 8) {
-      detail::fxp_stage_batch_avx512(re.data(), im.data(), count, p, stats);
+      detail::fxp_live_stage_avx512(re.data(), im.data(), count, p, stats);
+    } else if (g == 4) {
+      detail::fxp_live_stage_avx2(re.data(), im.data(), count, p, stats);
     } else {
-      detail::fxp_stage_batch_avx2(re.data(), im.data(), count, p, stats);
+      fxp_live_stage_scalar(re.data(), im.data(), p, stats);
     }
     frac = out_frac;
   }
 
+  // A nonempty schedule has written every row by its last stage; an empty
+  // one transforms zeros.
+  if (inputs.empty()) {
+    for (std::size_t l = 0; l < count; ++l) std::fill(out[l], out[l] + m_, cplx{0.0, 0.0});
+    return;
+  }
   const double out_scale = std::ldexp(1.0, -frac);
   for (std::size_t i = 0; i < m_; ++i) {
     const i64* rrow = re.data() + i * g;
@@ -528,22 +591,32 @@ void FxpFft::forward_group_narrow(const cplx* const* in, cplx* const* out, std::
 }
 
 void FxpFft::forward_batch_into(std::span<const cplx* const> in, std::span<cplx* const> out,
-                                FxpFftStats* stats, core::ScratchArena* arena_p) const {
+                                FxpFftStats* stats, core::ScratchArena* arena_p,
+                                const ButterflySchedule* live) const {
   if (in.size() != out.size()) {
     throw std::invalid_argument("FxpFft::forward_batch: size mismatch");
+  }
+  if (live != nullptr && live->size() != m_) {
+    throw std::invalid_argument("FxpFft::forward_batch: schedule size mismatch");
   }
   std::size_t done = 0;
   while (done < in.size()) {
     const std::size_t remaining = in.size() - done;
-    const std::size_t g = narrow_ok_ ? fxp_group_width(remaining) : 1;
-    if (remaining == 1 || g == 1) {
+    // A lone transform runs one lane: in a zero-padded 4-lane group three of
+    // every four lanes would be padding (1.2-1.6x slower than the scalar
+    // loop on ResNet-18 patterns at 48-bit/k = 20).
+    const std::size_t g = narrow_ok_ && remaining > 1 ? fxp_group_width(remaining) : 1;
+    if (!narrow_ok_ || (live == nullptr && g == 1)) {
+      // The 128-bit fallback, and a lone transform without a schedule, run
+      // the dense single-transform path.
       forward_into(std::span<const cplx>(in[done], m_), std::span<cplx>(out[done], m_), stats,
                    arena_p);
       ++done;
       continue;
     }
     const std::size_t count = std::min(remaining, g);
-    forward_group_narrow(in.data() + done, out.data() + done, count, g, stats, arena_p);
+    forward_group_live(in.data() + done, out.data() + done, count, g,
+                       live != nullptr ? *live : *full_schedule_, stats, arena_p);
     done += count;
   }
 }
@@ -655,24 +728,55 @@ void FxpNegacyclicTransform::inverse_into(std::span<const cplx> spec, std::span<
 
 void FxpNegacyclicTransform::forward_batch_into(std::span<const double* const> a,
                                                 std::span<cplx* const> out, FxpFftStats* stats,
-                                                core::ScratchArena* arena_p) const {
+                                                core::ScratchArena* arena_p,
+                                                const ButterflySchedule* live) const {
   if (a.size() != out.size()) {
     throw std::invalid_argument("FxpNegacyclicTransform::forward_batch: size mismatch");
   }
   const std::size_t m = n_ / 2;
   const std::size_t batch = a.size();
+  if (live != nullptr) {
+    if (live->size() != m) {
+      throw std::invalid_argument("FxpNegacyclicTransform::forward_batch: schedule size mismatch");
+    }
+    // Skipping is exact only on exact zeros: refuse a polynomial with data
+    // the schedule would drop. Branch-free: OR the bits of every dead
+    // coefficient pair, then ignore the sign bit (-0.0 is a zero).
+    for (std::size_t b = 0; b < batch; ++b) {
+      std::uint64_t stray = 0;
+      for (std::size_t s = 0; s < m; ++s) {
+        const std::uint64_t dead = std::uint64_t{live->is_live_input(s)} - 1;  // ~0 when dead
+        stray |= (std::bit_cast<std::uint64_t>(a[b][s]) |
+                  std::bit_cast<std::uint64_t>(a[b][s + m])) & dead;
+      }
+      if ((stray << 1) != 0) {
+        throw std::invalid_argument(
+            "FxpNegacyclicTransform::forward_batch: nonzero coefficient outside the schedule");
+      }
+    }
+  }
   core::ScratchArena& arena = core::scratch_or_thread(arena_p);
   core::ScratchFrame frame(arena);
   std::span<cplx> z_buf = frame.alloc<cplx>(m * batch);
   std::span<const cplx*> z_ptrs = frame.alloc<const cplx*>(batch);
+  // The narrow path reads only the live inputs, so only those are twisted;
+  // the 128-bit fallback reads every element.
+  const bool twist_live_only = live != nullptr && fft_.uses_narrow_path();
   for (std::size_t b = 0; b < batch; ++b) {
     cplx* z = z_buf.data() + b * m;
-    for (std::size_t s = 0; s < m; ++s) {
-      z[s] = cplx{a[b][s], a[b][s + m]} * twist_[s].value();
+    if (twist_live_only) {
+      for (std::uint32_t s : live->live_inputs()) {
+        z[s] = cplx{a[b][s], a[b][s + m]} * twist_[s].value();
+      }
+    } else {
+      for (std::size_t s = 0; s < m; ++s) {
+        z[s] = cplx{a[b][s], a[b][s + m]} * twist_[s].value();
+      }
     }
     z_ptrs[b] = z;
   }
-  fft_.forward_batch_into(std::span<const cplx* const>(z_ptrs.data(), batch), out, stats, &arena);
+  fft_.forward_batch_into(std::span<const cplx* const>(z_ptrs.data(), batch), out, stats, &arena,
+                          live);
 }
 
 void FxpNegacyclicTransform::inverse_batch_into(std::span<const cplx* const> spec,
@@ -712,6 +816,12 @@ std::vector<double> FxpNegacyclicTransform::inverse(const std::vector<cplx>& spe
   inverse_into(spec, out, stats);
   return out;
 }
+
+namespace testing_hooks {
+void set_fxp_odd_symmetric_mul_only(bool on) {
+  g_odd_mirror.store(on, std::memory_order_relaxed);
+}
+}  // namespace testing_hooks
 
 double relative_spectrum_rmse(const std::vector<cplx>& approx, const std::vector<cplx>& exact) {
   if (approx.size() != exact.size() || exact.empty()) {

@@ -12,17 +12,30 @@
 //
 // Two execution paths compute the same integers:
 //   * a generic 128-bit accumulator path, valid for every legal config;
-//   * a narrow 64-bit SoA path (with an AVX2 stage kernel, see
-//     fxp_kernels.hpp), taken when a constructor-time overflow analysis
+//   * a narrow 64-bit path, taken when a constructor-time overflow analysis
 //     proves every intermediate fits int64 — then 64-bit two's-complement
 //     arithmetic is exact and the paths are bit-identical by construction
 //     (pinned by tests/test_simd_kernels.cpp over the differential corpus).
+//
+// On the narrow path a single transform runs dense stages (an AVX2 kernel
+// vectorized across blocks, see fxp_kernels.hpp). Batches run in skip mode
+// (paper §IV-B): the SoA lane groups execute a ButterflySchedule's op lists,
+// so a weight pattern's dead butterflies are never touched. kCopy writes
+// round(u) to both outputs and kMulOnly rounds Wv and -Wv separately, so
+// spectra, saturation counts and stage peaks equal the dense transform's bit
+// for bit; butterflies and shift-add terms count the ops executed. Without a
+// schedule a batch runs the full (dense) schedule. The served kApproxFft
+// weight transform passes each HConv unit's schedule
+// (HConvProtocol::prepare_weights), and the differential tests pin skip mode
+// against dense at every SIMD level (tests/test_live_fxp.cpp).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "fft/butterfly_schedule.hpp"
 #include "fft/complex_fft.hpp"
 #include "fft/twiddle.hpp"
 
@@ -84,7 +97,7 @@ struct FxpFftConfig {
 /// shared-object pattern, whose note_peak resize raced under the pipeline).
 struct FxpFftStats {
   std::uint64_t shift_add_terms = 0;  // executed CSD terms (hardware adds)
-  std::uint64_t butterflies = 0;
+  std::uint64_t butterflies = 0;      // executed butterflies (ops of a schedule)
   std::uint64_t saturations = 0;      // overflow clamps (should be ~0 in a sane design)
   /// Largest |mantissa| observed at each pipeline cut, maximized across every
   /// transform sharing this stats object: index 0 is the input quantizer
@@ -130,21 +143,32 @@ class FxpFft {
                     core::ScratchArena* arena = nullptr) const;
 
   /// Batched transforms: each in[b]/out[b] points at size() elements. On the
-  /// narrow path the batch runs as SoA lane groups — one stage sweep covers
-  /// the whole group, loading each twiddle's CSD digits once per group
-  /// instead of once per transform (AVX-512 = 8 lanes, AVX2 = 4; see
-  /// ARCHITECTURE.md §11 for the remainder policy). Outputs and stats are
-  /// bit-identical to a loop of the single-transform calls at every SIMD
-  /// level. Zero steady-state heap allocations (scratch via `arena`).
+  /// narrow path the batch runs as SoA lane groups — one op-list sweep per
+  /// stage covers the whole group, loading each op's CSD digits once per
+  /// group instead of once per transform (AVX-512 = 8 lanes, AVX2 = 4,
+  /// scalar = 1; see ARCHITECTURE.md §11 for the remainder policy).
+  ///
+  /// `live` (size() points) restricts the work to its scheduled butterflies;
+  /// every in[b] must be zero outside live->live_inputs(), and the narrow
+  /// path never reads those elements. Null runs the full schedule, and a
+  /// lone transform without one takes forward_into. Outputs, saturations and
+  /// stage peaks are bit-identical to a loop of forward_into at every SIMD
+  /// level; butterflies and shift-add terms count the executed ops (the
+  /// dense totals on the full schedule). Zero steady-state heap allocations
+  /// (scratch via `arena`).
   void forward_batch_into(std::span<const cplx* const> in, std::span<cplx* const> out,
-                          FxpFftStats* stats = nullptr, core::ScratchArena* arena = nullptr) const;
+                          FxpFftStats* stats = nullptr, core::ScratchArena* arena = nullptr,
+                          const ButterflySchedule* live = nullptr) const;
   void inverse_batch_into(std::span<const cplx* const> in, std::span<cplx* const> out,
                           FxpFftStats* stats = nullptr, core::ScratchArena* arena = nullptr) const;
 
  private:
   void build_narrow_plan();
-  void forward_group_narrow(const cplx* const* in, cplx* const* out, std::size_t count,
-                            std::size_t g, FxpFftStats* stats, core::ScratchArena* arena) const;
+  /// One lane group of `count` transforms in SoA rows of width g (8, 4 or
+  /// 1) running `live`'s op lists.
+  void forward_group_live(const cplx* const* in, cplx* const* out, std::size_t count,
+                          std::size_t g, const ButterflySchedule& live, FxpFftStats* stats,
+                          core::ScratchArena* arena) const;
 
   std::size_t m_;
   int log_m_;
@@ -155,6 +179,7 @@ class FxpFft {
   // vectors (empty when narrow_ok_ is false).
   std::vector<detail::NarrowDigit> digit_pool_;
   std::vector<detail::NarrowTwiddle> narrow_tw_;
+  std::optional<ButterflySchedule> full_schedule_;  // narrow path only
   bool narrow_ok_ = false;
 };
 
@@ -183,8 +208,14 @@ class FxpNegacyclicTransform {
   /// (forward) and vice versa (inverse). The twist is applied per lane and
   /// the FFT runs on the SoA batched path; bit-identical to a loop of the
   /// single-transform calls at every SIMD level.
+  ///
+  /// `live` (n/2 points, built on the folded pattern: coefficient i lands on
+  /// FFT input i mod n/2) runs skip mode: only live inputs are twisted and
+  /// quantized and only scheduled butterflies run. A polynomial with a
+  /// nonzero coefficient outside the schedule throws std::invalid_argument.
   void forward_batch_into(std::span<const double* const> a, std::span<cplx* const> out,
-                          FxpFftStats* stats = nullptr, core::ScratchArena* arena = nullptr) const;
+                          FxpFftStats* stats = nullptr, core::ScratchArena* arena = nullptr,
+                          const ButterflySchedule* live = nullptr) const;
   void inverse_batch_into(std::span<const cplx* const> spec, std::span<double* const> out,
                           FxpFftStats* stats = nullptr, core::ScratchArena* arena = nullptr) const;
 
@@ -193,6 +224,15 @@ class FxpNegacyclicTransform {
   FxpFft fft_;
   std::vector<QuantizedTwiddle> twist_;  // zeta^s, CSD-quantized
 };
+
+namespace testing_hooks {
+/// Test-only fault: the multiply-only butterflies of skip mode write
+/// -round(Wv) to the mirror output instead of round(-Wv) — the
+/// odd-symmetry shortcut round-to-nearest does not allow. The oracle's
+/// self-test (flash_fuzz --inject mul-only-odd) proves its skip-vs-dense arm
+/// catches it. Process-wide; toggle only while no transform runs.
+void set_fxp_odd_symmetric_mul_only(bool on);
+}  // namespace testing_hooks
 
 /// Root-mean-square error between an approximate and an exact spectrum,
 /// normalized by the RMS magnitude of the exact spectrum.

@@ -28,13 +28,22 @@ NegacyclicFft::NegacyclicFft(std::size_t n) : n_(n), plan_(checked_half(n), +1) 
 }
 
 std::vector<cplx> NegacyclicFft::fold(const std::vector<double>& a) const {
-  if (a.size() != n_) throw std::invalid_argument("NegacyclicFft::fold: size mismatch");
-  const std::size_t m = n_ / 2;
-  std::vector<cplx> z(m);
-  for (std::size_t s = 0; s < m; ++s) {
-    z[s] = cplx{a[s], a[s + m]} * twist_[s];
-  }
+  std::vector<cplx> z(n_ / 2);
+  fold_into(a, z);
   return z;
+}
+
+void NegacyclicFft::fold_into(std::span<const double> a, std::span<cplx> z,
+                              const ButterflySchedule* live) const {
+  const std::size_t m = n_ / 2;
+  if (a.size() != n_ || z.size() != m || (live != nullptr && live->size() != m)) {
+    throw std::invalid_argument("NegacyclicFft::fold: size mismatch");
+  }
+  if (live != nullptr) {
+    for (std::uint32_t s : live->live_inputs()) z[s] = cplx{a[s], a[s + m]} * twist_[s];
+    return;
+  }
+  for (std::size_t s = 0; s < m; ++s) z[s] = cplx{a[s], a[s + m]} * twist_[s];
 }
 
 std::vector<double> NegacyclicFft::unfold(const std::vector<cplx>& z) const {
@@ -64,9 +73,7 @@ void NegacyclicFft::forward_into(std::span<const double> a, std::span<cplx> out)
   if (a.size() != n_) throw std::invalid_argument("NegacyclicFft::forward: size mismatch");
   const std::size_t m = n_ / 2;
   if (out.size() != m) throw std::invalid_argument("NegacyclicFft::forward: bad output size");
-  for (std::size_t s = 0; s < m; ++s) {
-    out[s] = cplx{a[s], a[s + m]} * twist_[s];
-  }
+  fold_into(a, out);
   plan_.forward(out);
 }
 

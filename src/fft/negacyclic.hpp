@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "fft/butterfly_schedule.hpp"
 #include "fft/complex_fft.hpp"
 #include "hemath/modular.hpp"
 
@@ -38,6 +39,11 @@ class NegacyclicFft {
   /// Fold + twist only (no FFT): the n/2 complex values z[s] above.
   /// Exposed because the sparse weight transform operates on this sequence.
   std::vector<cplx> fold(const std::vector<double>& a) const;
+
+  /// Allocation-free fold into `z` (size n/2). With `live`, only its live
+  /// inputs are written — all a sparse executor reads.
+  void fold_into(std::span<const double> a, std::span<cplx> z,
+                 const ButterflySchedule* live = nullptr) const;
 
   /// Inverse of fold(): untwist and unfold back to n real values.
   std::vector<double> unfold(const std::vector<cplx>& z) const;

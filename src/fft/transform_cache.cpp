@@ -102,17 +102,17 @@ Caches& caches() {
   return c;
 }
 
+}  // namespace
+
 /// Every field of the config participates in the key: two design points that
 /// differ anywhere produce different twiddle tables / rounding behavior.
-std::string fxp_key(std::size_t n, const FxpFftConfig& cfg) {
+std::string fxp_config_key(std::size_t n, const FxpFftConfig& cfg) {
   std::ostringstream key;
   key << n << '|' << cfg.input_frac_bits << '|' << cfg.data_width << '|' << cfg.twiddle_k << '|'
       << cfg.twiddle_min_exp << '|' << static_cast<int>(cfg.rounding) << '|';
   for (int b : cfg.stage_frac_bits) key << b << ',';
   return key.str();
 }
-
-}  // namespace
 
 std::shared_ptr<const hemath::NttTables> shared_ntt_tables(hemath::u64 q, std::size_t n) {
   return caches().ntt.get_or_make(std::make_pair(q, n), "ntt",
@@ -126,7 +126,7 @@ std::shared_ptr<const NegacyclicFft> shared_negacyclic_fft(std::size_t n) {
 
 std::shared_ptr<const FxpNegacyclicTransform> shared_fxp_transform(std::size_t n,
                                                                   const FxpFftConfig& config) {
-  return caches().fxp.get_or_make(fxp_key(n, config), "fxp", [&] {
+  return caches().fxp.get_or_make(fxp_config_key(n, config), "fxp", [&] {
     return std::make_shared<const FxpNegacyclicTransform>(n, config);
   });
 }

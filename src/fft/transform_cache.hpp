@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 
 #include "fft/fxp_fft.hpp"
 #include "fft/negacyclic.hpp"
@@ -34,6 +35,11 @@ std::shared_ptr<const hemath::NttTables> shared_ntt_tables(hemath::u64 q, std::s
 std::shared_ptr<const NegacyclicFft> shared_negacyclic_fft(std::size_t n);
 std::shared_ptr<const FxpNegacyclicTransform> shared_fxp_transform(std::size_t n,
                                                                    const FxpFftConfig& config);
+
+/// The fixed-point cache's key: n and every field of the config. Exposed so
+/// per-design-point memos elsewhere (the certifier's interval-analysis
+/// verdicts, analysis/fxp_analyzer.hpp) key exactly as this cache does.
+std::string fxp_config_key(std::size_t n, const FxpFftConfig& config);
 
 /// Cache observability (tests assert construction happens once; the serve
 /// metrics exporter publishes the per-kind counters so a serving process can

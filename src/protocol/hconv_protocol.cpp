@@ -8,6 +8,7 @@
 
 #include "encoding/matvec.hpp"
 #include "hemath/simd_batch.hpp"
+#include "sparsefft/planner.hpp"
 
 namespace flash::protocol {
 
@@ -64,8 +65,8 @@ HConvResult HConvProtocol::run(const tensor::Tensor3& x, const tensor::Tensor4& 
   return run_stream(x, weights, next_stream_.fetch_add(1, std::memory_order_relaxed));
 }
 
-std::vector<bfv::PlainSpectrum> HConvProtocol::transform_weights(std::size_t count,
-                                                                 const EncodeFn& poly) const {
+std::vector<bfv::PlainSpectrum> HConvProtocol::transform_weights(
+    std::size_t count, const EncodeFn& poly, const fft::ButterflySchedule* live) const {
   const auto& p = ctx_.params();
   // Weight transforms (the FLASH-accelerated hot loop), embarrassingly
   // parallel: groups of one SIMD lane width fan out over the pool, and each
@@ -83,7 +84,7 @@ std::vector<bfv::PlainSpectrum> HConvProtocol::transform_weights(std::size_t cou
       const std::vector<i64> coeffs = poly(first + k);
       for (std::size_t i = 0; i < p.n; ++i) pts[k].poly[i] = hemath::from_signed(coeffs[i], p.t);
     }
-    std::vector<bfv::PlainSpectrum> out = evaluator_.engine().transform_plain_batch(pts);
+    std::vector<bfv::PlainSpectrum> out = evaluator_.engine().transform_plain_batch(pts, live);
     std::move(out.begin(), out.end(), spec.begin() + static_cast<std::ptrdiff_t>(first));
   });
   return spec;
@@ -104,9 +105,16 @@ std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_wei
   prepared->out_channels = out_channels;
   prepared->kh = weights.kernel_h();
   prepared->kw = weights.kernel_w();
+  // Every weight polynomial of the unit shares one structural pattern, so
+  // one plan schedules all of their FXP transforms (skip mode).
+  std::optional<sparsefft::SparseFftPlan> plan;
+  if (evaluator_.engine().backend() == bfv::PolyMulBackend::kApproxFft) {
+    plan.emplace(p.n / 2, encoding::folded_weight_pattern(enc.geometry()));
+  }
   std::vector<bfv::PlainSpectrum> spec = transform_weights(
       out_channels * tiles,
-      [&](std::size_t idx) { return enc.encode_weight(weights, idx / tiles, idx % tiles); });
+      [&](std::size_t idx) { return enc.encode_weight(weights, idx / tiles, idx % tiles); },
+      plan ? &plan->schedule() : nullptr);
   prepared->spec.resize(out_channels);
   for (std::size_t m = 0; m < out_channels; ++m) {
     const auto row = spec.begin() + static_cast<std::ptrdiff_t>(m * tiles);

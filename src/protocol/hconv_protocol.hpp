@@ -120,7 +120,11 @@ class HConvProtocol {
   /// Precompute the weight spectra for activations of shape
   /// (weights.in_channels(), in_h, in_w): one batched transform per
   /// simd_batch::active_group_lanes() (output channel, channel tile) pairs,
-  /// the groups fanned out over the pool when set.
+  /// the groups fanned out over the pool when set. On kApproxFft every
+  /// batch runs skip mode on one sparsefft::SparseFftPlan built from the
+  /// unit's folded weight pattern (encoding::folded_weight_pattern), so only
+  /// the live butterflies run; the spectra are bit-identical to the dense
+  /// FXP transform's.
   std::shared_ptr<const PreparedWeights> prepare_weights(std::size_t in_h, std::size_t in_w,
                                                          const tensor::Tensor4& weights) const;
 
@@ -149,8 +153,12 @@ class HConvProtocol {
 
   /// Weight spectra of polynomials 0..count-1 (poly(i) gives the signed
   /// coefficients of polynomial i), transformed in groups of one SIMD lane
-  /// width that fan out over the pool. Conv and FC weights both go here.
-  std::vector<bfv::PlainSpectrum> transform_weights(std::size_t count, const EncodeFn& poly) const;
+  /// width that fan out over the pool. Conv and FC weights both go here;
+  /// `live` (kApproxFft skip mode) is the schedule of the polynomials'
+  /// shared folded pattern, null for the dense transform.
+  std::vector<bfv::PlainSpectrum> transform_weights(
+      std::size_t count, const EncodeFn& poly,
+      const fft::ButterflySchedule* live = nullptr) const;
 
   /// The round both conv and FC layers run (Fig. 1 with Fig. 4(b)'s
   /// dataflow): the client encrypts its `polys` activation polynomials, the

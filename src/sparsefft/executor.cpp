@@ -9,34 +9,33 @@
 
 namespace flash::sparsefft {
 
-namespace {
-
-cplx grid_round(cplx v, int frac_bits) {
-  return {std::ldexp(std::nearbyint(std::ldexp(v.real(), frac_bits)), -frac_bits),
-          std::ldexp(std::nearbyint(std::ldexp(v.imag(), frac_bits)), -frac_bits)};
-}
-
-template <typename TwiddleFn, typename RoundFn>
-void run_into(const SparseFftPlan& plan, std::span<const cplx> input, std::span<cplx> a,
-              TwiddleFn&& twiddle_of, RoundFn&& round_stage) {
+void execute_into(const SparseFftPlan& plan, std::span<const cplx> input, std::span<cplx> out) {
   const std::size_t m = plan.size();
   if (input.size() != m) throw std::invalid_argument("sparsefft::execute: size mismatch");
-  if (a.size() != m) throw std::invalid_argument("sparsefft::execute: bad output size");
-  std::copy(input.begin(), input.end(), a.begin());
-  hemath::bit_reverse_permute(a);
-  for (int s = 0; s < plan.stages(); ++s) {
-    for (const ButterflyOp& op : plan.stage(s)) {
-      cplx& u = a[op.u];
-      cplx& v = a[op.v];
+  if (out.size() != m) throw std::invalid_argument("sparsefft::execute: bad output size");
+  const fft::ButterflySchedule& schedule = plan.schedule();
+  if (schedule.live_inputs().empty()) {
+    std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
+    return;
+  }
+  const std::span<const cplx> w = plan.twiddles();
+  // Dead wires are never read before an op writes them, and a nonempty
+  // schedule writes every wire by its last stage.
+  const int log_m = plan.stages();
+  for (std::uint32_t i : schedule.live_inputs()) out[hemath::bit_reverse(i, log_m)] = input[i];
+  for (int s = 0; s < log_m; ++s) {
+    for (const ButterflyOp& op : schedule.stage(s)) {
+      cplx& u = out[op.u];
+      cplx& v = out[op.v];
       switch (op.kind) {
         case OpKind::kFull: {
-          const cplx t = v * twiddle_of(op.twiddle_index);
-          v = round_stage(u - t, s);
-          u = round_stage(u + t, s);
+          const cplx t = v * w[op.twiddle_index];
+          v = u - t;
+          u = u + t;
           break;
         }
         case OpKind::kMulOnly: {
-          const cplx t = round_stage(v * twiddle_of(op.twiddle_index), s);
+          const cplx t = v * w[op.twiddle_index];
           u = t;
           v = -t;
           break;
@@ -47,16 +46,6 @@ void run_into(const SparseFftPlan& plan, std::span<const cplx> input, std::span<
       }
     }
   }
-}
-
-}  // namespace
-
-void execute_into(const SparseFftPlan& plan, std::span<const cplx> input, std::span<cplx> out) {
-  const std::size_t m = plan.size();
-  const double base = 2.0 * std::numbers::pi / static_cast<double>(m);
-  auto twiddle_of = [base](std::uint32_t t) { return std::polar(1.0, base * static_cast<double>(t)); };
-  auto no_round = [](cplx v, int) { return v; };
-  run_into(plan, input, out, twiddle_of, no_round);
 }
 
 std::vector<cplx> execute(const SparseFftPlan& plan, const std::vector<cplx>& input) {
@@ -154,22 +143,6 @@ std::vector<cplx> execute_merged(const SparseFftPlan& plan, const std::vector<cp
   std::vector<cplx> out(m);
   for (std::size_t i = 0; i < m; ++i) out[i] = lanes[i].materialize(mults);
   if (mults_issued) *mults_issued = mults;
-  return out;
-}
-
-std::vector<cplx> execute_quantized(const SparseFftPlan& plan, const std::vector<cplx>& input,
-                                    const QuantizedExecution& quant) {
-  const std::size_t m = plan.size();
-  if (quant.stage_frac_bits.size() != static_cast<std::size_t>(plan.stages())) {
-    throw std::invalid_argument("execute_quantized: stage_frac_bits size mismatch");
-  }
-  const auto table = fft::quantize_fft_twiddles(m, +1, quant.twiddle_k, quant.twiddle_min_exp);
-  auto twiddle_of = [&table](std::uint32_t t) { return table[t].value(); };
-  auto round_stage = [&quant](cplx v, int s) {
-    return grid_round(v, quant.stage_frac_bits[static_cast<std::size_t>(s)]);
-  };
-  std::vector<cplx> out(m);
-  run_into(plan, input, out, twiddle_of, round_stage);
   return out;
 }
 

@@ -1,19 +1,18 @@
-// Executes a SparseFftPlan.
+// Executes a SparseFftPlan in double precision.
 //
-// The executor runs exactly the operations the planner scheduled — skipped
-// butterflies are genuinely never touched — so its output agreeing with the
-// dense FFT is the end-to-end proof that "skipping" and "merging" are exact
-// (they are: zeros contribute nothing). A quantized execution mode applies
-// CSD twiddles and per-stage grid rounding, modelling the combined
-// sparse+approximate datapath of FLASH's approximate PEs.
+// The executors run exactly the operations the planner scheduled — skipped
+// butterflies are genuinely never touched — so their output agreeing with
+// the dense FFT is the end-to-end proof that "skipping" and "merging" are
+// exact (they are: zeros contribute nothing). They are proofs and
+// references, not the served path: the combined sparse+approximate datapath
+// of FLASH's approximate PEs is FxpFft's live-op kernel (fft/fxp_fft.hpp),
+// which runs the same schedule on the fixed-point arithmetic.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "fft/complex_fft.hpp"
-#include "fft/fxp_fft.hpp"
 #include "sparsefft/planner.hpp"
 
 namespace flash::sparsefft {
@@ -22,24 +21,16 @@ using fft::cplx;
 
 /// Exact execution: standard-order input (only positions in the plan's
 /// pattern are read; others are treated as zero), standard-order output.
-/// Equivalent to FftPlan(m, +1).forward on the dense vector.
+/// Reads the twiddle table of FftPlan(M, +1) and performs its butterfly
+/// arithmetic (the library is built with -ffp-contract=off), so the result
+/// equals FftPlan(M, +1).forward on the dense vector bit for bit, up to the
+/// sign of zero components.
 std::vector<cplx> execute(const SparseFftPlan& plan, const std::vector<cplx>& input);
 
-/// Allocation-free exact execution: copies `input` into `out` (both size M,
-/// non-aliasing) and runs the scheduled ops in place. No scratch needed.
+/// Allocation-free exact execution: places the live inputs of `input` into
+/// `out` (both size M, non-aliasing) in bit-reversed order and runs the
+/// scheduled ops in place. No scratch needed.
 void execute_into(const SparseFftPlan& plan, std::span<const cplx> input, std::span<cplx> out);
-
-/// Quantized execution: twiddles replaced by their CSD approximations and
-/// every produced value rounded to 2^-frac_bits grid per stage, modelling the
-/// approximate BU datapath numerics on top of the sparse schedule.
-struct QuantizedExecution {
-  int twiddle_k = 5;
-  int twiddle_min_exp = -20;
-  std::vector<int> stage_frac_bits;  // size = log2(M)
-};
-
-std::vector<cplx> execute_quantized(const SparseFftPlan& plan, const std::vector<cplx>& input,
-                                    const QuantizedExecution& quant);
 
 /// Merged execution: values flowing through single-source butterfly chains
 /// stay *lazy* — a (base value, accumulated twiddle) pair whose twiddle

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "fft/transform_cache.hpp"
 #include "hemath/bitrev.hpp"
 
 namespace flash::sparsefft {
@@ -46,41 +47,28 @@ MergeState defer_twiddle(MergeState s, bool trivial) {
   return MergeState::kLazy;
 }
 
+const std::vector<std::size_t>& checked_nonzeros(std::size_t m, const SparsityPattern& pattern) {
+  if (pattern.size() != m) throw std::invalid_argument("SparseFftPlan: pattern size mismatch");
+  return pattern.nonzeros();
+}
+
 }  // namespace
 
-SparseFftPlan::SparseFftPlan(std::size_t m, const SparsityPattern& pattern) : m_(m) {
-  if (pattern.size() != m) throw std::invalid_argument("SparseFftPlan: pattern size mismatch");
+SparseFftPlan::SparseFftPlan(std::size_t m, const SparsityPattern& pattern)
+    : schedule_(m, checked_nonzeros(m, pattern)),
+      dense_(m >= 2 ? fft::shared_negacyclic_fft(2 * m) : nullptr) {
+  // Price the schedule op by op, tracking each wire's merge state from the
+  // bit-reversed input through every stage.
   const int log_m = hemath::log2_exact(m);
-  stage_ops_.resize(static_cast<std::size_t>(log_m));
-
-  // Activity of the in-place work array, starting from the bit-reversed input.
-  const SparsityPattern br = pattern.bit_reversed();
-  std::vector<bool> active(m);
   std::vector<MergeState> merge(m, MergeState::kZero);
-  for (std::size_t i = 0; i < m; ++i) {
-    active[i] = br.is_active(i);
-    if (active[i]) merge[i] = MergeState::kMat;
+  for (std::uint32_t i : schedule_.live_inputs()) {
+    merge[hemath::bit_reverse(i, log_m)] = MergeState::kMat;
   }
-
-  for (int s = 1; s <= log_m; ++s) {
-    auto& ops = stage_ops_[static_cast<std::size_t>(s - 1)];
-    const std::size_t half = std::size_t{1} << (s - 1);
-    const std::size_t len = half << 1;
-    const std::size_t stride = m >> s;
-    for (std::size_t block = 0; block < m; block += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const std::size_t iu = block + j;
-        const std::size_t iv = iu + half;
-        const bool au = active[iu];
-        const bool av = active[iv];
-        if (!au && !av) continue;  // dead butterfly: nothing scheduled
-        ButterflyOp op;
-        op.u = static_cast<std::uint32_t>(iu);
-        op.v = static_cast<std::uint32_t>(iv);
-        op.twiddle_index = static_cast<std::uint32_t>(j * stride);
-        const bool trivial = is_trivial_twiddle(op.twiddle_index, m);
-        if (au && av) {
-          op.kind = OpKind::kFull;
+  for (int s = 0; s < schedule_.stages(); ++s) {
+    for (const ButterflyOp& op : schedule_.stage(s)) {
+      const bool trivial = is_trivial_twiddle(op.twiddle_index, m);
+      switch (op.kind) {
+        case OpKind::kFull:
           if (trivial) {
             ++cost_.trivial_mults;
           } else {
@@ -88,31 +76,29 @@ SparseFftPlan::SparseFftPlan(std::size_t m, const SparsityPattern& pattern) : m_
           }
           cost_.complex_adds += 2;
           // Merged accounting: both operands must materialize here.
-          cost_.merged_mults += materialize_with_twiddle(merge[iu], true);
-          cost_.merged_mults += materialize_with_twiddle(merge[iv], trivial);
+          cost_.merged_mults += materialize_with_twiddle(merge[op.u], true);
+          cost_.merged_mults += materialize_with_twiddle(merge[op.v], trivial);
           cost_.merged_adds += 2;
-          merge[iu] = MergeState::kMat;
-          merge[iv] = MergeState::kMat;
-        } else if (!au) {
+          merge[op.u] = MergeState::kMat;
+          merge[op.v] = MergeState::kMat;
+          break;
+        case OpKind::kMulOnly: {
           // Merging path: bottom-only input, outputs (+Wv, -Wv).
-          op.kind = OpKind::kMulOnly;
           if (trivial) {
             ++cost_.trivial_mults;
           } else {
             ++cost_.complex_mults;
           }
-          const MergeState next = defer_twiddle(merge[iv], trivial);
-          merge[iu] = next;
-          merge[iv] = next;  // additive inverse: sign flip is free
-        } else {
-          // Skipping path: top-only input duplicates downward.
-          op.kind = OpKind::kCopy;
-          ++cost_.copies;
-          merge[iv] = merge[iu];
+          const MergeState next = defer_twiddle(merge[op.v], trivial);
+          merge[op.u] = next;
+          merge[op.v] = next;  // additive inverse: sign flip is free
+          break;
         }
-        ops.push_back(op);
-        active[iu] = true;
-        active[iv] = true;
+        case OpKind::kCopy:
+          // Skipping path: top-only input duplicates downward.
+          ++cost_.copies;
+          merge[op.v] = merge[op.u];
+          break;
       }
     }
   }

@@ -1,8 +1,9 @@
 // Sparse butterfly dataflow planner (paper Section IV-B).
 //
-// Given the nonzero pattern of a weight polynomial, the planner walks the
-// DIT butterfly network once and emits, per stage, only the operations whose
-// inputs carry data. Zero-operand analysis subsumes both of the paper's
+// Given the nonzero pattern of a weight polynomial, the plan is the
+// fft::ButterflySchedule of that pattern — one walk of the DIT butterfly
+// network that keeps only the operations whose inputs carry data — priced in
+// the paper's terms. Zero-operand analysis subsumes both of the paper's
 // optimizations:
 //
 //   * (u active, v zero)  -> outputs (u, u): a pure duplication. Runs of
@@ -19,30 +20,28 @@
 // One plan is built per layer-wide sparsity pattern and reused for every
 // transform in that layer, so planning cost is amortized to noise (paper:
 // "a single dataflow can be utilized across transforms in the same
-// convolutional layer").
+// convolutional layer"). The served kApproxFft weight transform runs the
+// plan's schedule in skip mode: HConvProtocol::prepare_weights builds one
+// plan per HConv unit from its folded weight pattern and FxpFft executes
+// only the scheduled ops, bit-identical to the dense fixed-point transform
+// (fft/fxp_fft.hpp). Merging — quantizing a cumulative twiddle once —
+// changes the fixed-point numerics and stays an accounting (execute_merged
+// proves it exact in double precision).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "fft/butterfly_schedule.hpp"
+#include "fft/negacyclic.hpp"
 #include "sparsefft/pattern.hpp"
 
 namespace flash::sparsefft {
 
-enum class OpKind : std::uint8_t {
-  kFull,      // both inputs active: multiply + add/sub
-  kMulOnly,   // only bottom input active: multiply, negate for the mirror
-  kCopy,      // only top input active: duplicate, no arithmetic
-};
-
-/// One scheduled butterfly. Indices address the in-place work array (which is
-/// in bit-reversed order at stage 1 input).
-struct ButterflyOp {
-  std::uint32_t u = 0;           // top element index
-  std::uint32_t v = 0;           // bottom element index (u + half)
-  std::uint32_t twiddle_index = 0;  // j * (M >> stage): index into W_M^j table
-  OpKind kind = OpKind::kFull;
-};
+using fft::ButterflyOp;
+using fft::OpKind;
 
 /// Arithmetic cost of a plan in real (scalar) operations.
 ///
@@ -76,17 +75,24 @@ class SparseFftPlan {
   /// (i.e. the folded/twisted z sequence for a negacyclic transform).
   SparseFftPlan(std::size_t m, const SparsityPattern& pattern);
 
-  std::size_t size() const { return m_; }
-  int stages() const { return static_cast<int>(stage_ops_.size()); }
-  const std::vector<ButterflyOp>& stage(int s) const { return stage_ops_[static_cast<std::size_t>(s)]; }
+  std::size_t size() const { return schedule_.size(); }
+  int stages() const { return schedule_.stages(); }
+  std::span<const ButterflyOp> stage(int s) const { return schedule_.stage(s); }
+  /// The op lists themselves, in the form FxpFft runs them.
+  const fft::ButterflySchedule& schedule() const { return schedule_; }
   const PlanCost& cost() const { return cost_; }
+  /// W_M^j, j in [0, M/2): the twiddle table of FftPlan(M, +1) itself
+  /// (shared process-wide), which the exact executor reads.
+  std::span<const fft::cplx> twiddles() const {
+    return dense_ ? dense_->plan().root_powers() : std::span<const fft::cplx>{};
+  }
 
   /// Dense-FFT cost with the same trivial-twiddle accounting, for ratios.
   static PlanCost dense_cost(std::size_t m);
 
  private:
-  std::size_t m_;
-  std::vector<std::vector<ButterflyOp>> stage_ops_;  // stage_ops_[s-1] = ops of stage s
+  fft::ButterflySchedule schedule_;
+  std::shared_ptr<const fft::NegacyclicFft> dense_;  // its plan is FftPlan(M, +1)
   PlanCost cost_;
 };
 

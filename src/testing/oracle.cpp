@@ -54,6 +54,52 @@ void inject_twiddle_fault(fft::FxpFftConfig& config) {
   config.twiddle_min_exp = -2;
 }
 
+/// The skip-vs-dense arm: skip mode on the weight's folded pattern against
+/// dense forward_into, over five sign-alternated copies of `w`.
+OracleReport skip_vs_dense(const fft::FxpNegacyclicTransform& fxp, const std::vector<double>& w,
+                           FaultInjection fault) {
+  const std::size_t n = w.size(), m = n / 2;
+  std::vector<std::size_t> live;
+  for (std::size_t s = 0; s < m; ++s) {
+    if (w[s] != 0.0 || w[s + m] != 0.0) live.push_back(s);
+  }
+  const sparsefft::SparseFftPlan plan(m, sparsefft::SparsityPattern(m, std::move(live)));
+  constexpr std::size_t kLanes = 5;
+  std::vector<std::vector<double>> lanes(kLanes, w);
+  std::vector<std::vector<fft::cplx>> dense(kLanes, std::vector<fft::cplx>(m));
+  std::vector<std::vector<fft::cplx>> skip(kLanes, std::vector<fft::cplx>(m));
+  std::vector<const double*> in(kLanes);
+  std::vector<fft::cplx*> out(kLanes);
+  fft::FxpFftStats dense_stats, skip_stats;
+  for (std::size_t b = 0; b < kLanes; ++b) {
+    if (b % 2 == 1) {
+      for (double& v : lanes[b]) v = -v;
+    }
+    fxp.forward_into(lanes[b], dense[b], &dense_stats);
+    in[b] = lanes[b].data();
+    out[b] = skip[b].data();
+  }
+  fft::testing_hooks::set_fxp_odd_symmetric_mul_only(fault ==
+                                                     FaultInjection::kMulOnlyOddSymmetric);
+  fxp.forward_batch_into(in, out, &skip_stats, nullptr, &plan.schedule());
+  fft::testing_hooks::set_fxp_odd_symmetric_mul_only(false);
+  for (std::size_t b = 0; b < kLanes; ++b) {
+    for (std::size_t i = 0; i < m; ++i) {
+      if (skip[b][i] != dense[b][i]) {
+        std::stringstream detail;
+        detail << "lane " << b << " spectrum element " << i << ": skip " << skip[b][i]
+               << " vs dense " << dense[b][i];
+        return fail("skip-vs-dense", detail.str());
+      }
+    }
+  }
+  if (skip_stats.saturations != dense_stats.saturations ||
+      skip_stats.stage_peak_mantissa != dense_stats.stage_peak_mantissa) {
+    return fail("skip-vs-dense", "saturation count or stage peaks differ from dense");
+  }
+  return OracleReport{};
+}
+
 }  // namespace
 
 OracleReport PolymulOracle::run(const PolymulCase& c) const {
@@ -348,6 +394,20 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
              << fxp_stats.stage_peak_mantissa[static_cast<std::size_t>(v->stage)]
              << " exceeds proven bound " << v->mantissa_bound;
       return fail("approx-outside-proven-interval", detail.str());
+    }
+
+    // (d) Skip mode vs dense: the served weight transform runs only the
+    // live butterflies of the weight's folded pattern, here on five
+    // sign-alternated copies of w (on AVX2 a 4-lane group and the scalar
+    // loop; on AVX-512 one 8-lane group with three padded lanes). Spectra,
+    // saturations and stage peaks must be the dense transform's, bit for
+    // bit.
+    {
+      const OracleReport r = skip_vs_dense(fxp, w_real, options_.fault);
+      if (!r.ok) {
+        return fail(r.check, "width " + std::to_string(point.stage_widths.front()) + ": " +
+                                 r.detail);
+      }
     }
   }
 

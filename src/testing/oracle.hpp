@@ -9,6 +9,9 @@
 //     stays inside the rounding-noise margin (the generators enforce it);
 //   * sparse planner/executor              — bit-equal: skipping/merging are
 //     exact, zeros contribute nothing;
+//   * skip-mode FXP transform (the served   — bit-equal to the dense FXP
+//     kApproxFft weight path)                 transform: spectra, saturation
+//                                             counts and stage peaks;
 //   * approximate FXP FFT (kApproxFft)     — error-within-budget: the
 //     weight-spectrum error must stay inside the dse/error_model prediction
 //     times a documented slack, and the *output* deviation must be exactly
@@ -32,8 +35,17 @@ namespace flash::testing {
 /// bug); kPow2CarryTruncation drops the ciphertext operand's bits above 32
 /// before the Z_{2^k} multiply (the narrow-operand-register / lost-carry
 /// bug), with the ring width pinned above 32 so the fault cannot be a
-/// silent no-op.
-enum class FaultInjection { kNone, kTwiddleQuantization, kPow2MaskWidth, kPow2CarryTruncation };
+/// silent no-op. kMulOnlyOddSymmetric makes skip mode's multiply-only
+/// butterflies write -round(Wv) to the mirror output instead of round(-Wv)
+/// (fft::testing_hooks::set_fxp_odd_symmetric_mul_only) — the "negation is
+/// free" shortcut that round-to-nearest does not allow.
+enum class FaultInjection {
+  kNone,
+  kTwiddleQuantization,
+  kPow2MaskWidth,
+  kPow2CarryTruncation,
+  kMulOnlyOddSymmetric,
+};
 
 struct OracleOptions {
   /// Budget-mode approximate design point: uniform per-stage data width and
@@ -57,7 +69,8 @@ struct OracleReport {
 };
 
 /// Cross-checks one polymul case across schoolbook / NTT / Shoup NTT /
-/// Z_{2^k} mask-reduce / double FFT / sparse executor / approximate FXP FFT.
+/// Z_{2^k} mask-reduce / double FFT / sparse executor / approximate FXP FFT
+/// / skip-mode FXP FFT.
 class PolymulOracle {
  public:
   explicit PolymulOracle(OracleOptions options = {}) : options_(options) {}

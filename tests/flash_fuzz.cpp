@@ -35,6 +35,7 @@ int usage(const char* argv0) {
       << "                       twiddle     twiddle-quantization bug, approx path\n"
       << "                       pow2-mask   Z_{2^k} ring one bit narrow (mask-width bug)\n"
       << "                       pow2-carry  Z_{2^k} ct operand truncated to 32 bits\n"
+      << "                       mul-only-odd  skip-mode mirror written as -round(Wv)\n"
       << "  --expect-failure   exit 0 iff the run DID fail (oracle self-test)\n"
       << "  --verbose          log every case\n";
   return 2;
@@ -71,6 +72,7 @@ int main(int argc, char** argv) {
         if (what == "twiddle") options.oracle.fault = FaultInjection::kTwiddleQuantization;
         else if (what == "pow2-mask") options.oracle.fault = FaultInjection::kPow2MaskWidth;
         else if (what == "pow2-carry") options.oracle.fault = FaultInjection::kPow2CarryTruncation;
+        else if (what == "mul-only-odd") options.oracle.fault = FaultInjection::kMulOnlyOddSymmetric;
         else {
           std::cerr << "unknown fault: " << what << "\n";
           return usage(argv[0]);

@@ -221,29 +221,6 @@ TEST(Planner, MergedSingleElementCostsAboutM) {
             0.26);
 }
 
-TEST(Executor, QuantizedExecutionTracksExact) {
-  const std::size_t m = 256;
-  std::mt19937_64 rng(51);
-  std::vector<std::size_t> pos;
-  for (int i = 0; i < 20; ++i) pos.push_back(rng() % m);
-  const SparsityPattern p(m, std::move(pos));
-  SparseFftPlan plan(m, p);
-  const auto input = sparse_signal(p, rng);
-
-  QuantizedExecution quant;
-  quant.twiddle_k = 12;
-  quant.twiddle_min_exp = -24;
-  quant.stage_frac_bits.assign(static_cast<std::size_t>(plan.stages()), 20);
-  const auto approx = execute_quantized(plan, input, quant);
-  const auto exact = execute(plan, input);
-  double err = 0, mag = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    err += std::norm(approx[i] - exact[i]);
-    mag += std::norm(exact[i]);
-  }
-  EXPECT_LT(std::sqrt(err / mag), 1e-3);
-}
-
 TEST(Executor, InputSizeMismatchThrows) {
   SparseFftPlan plan(16, SparsityPattern(16, {0}));
   std::vector<cplx> wrong(8);
