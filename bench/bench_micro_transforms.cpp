@@ -359,6 +359,78 @@ BENCHMARK(BM_MultiplyPlain)
     ->Arg(static_cast<int>(bfv::PolyMulBackend::kFft))
     ->Arg(static_cast<int>(bfv::PolyMulBackend::kApproxFft));
 
+/// The served block MAC (HConvProtocol::run_round) at N = 4096 on kFft:
+/// eight outputs over 64 ciphertext pairs, in blocks of state.range(1)
+/// outputs, with sums from the scratch arena. Each iteration takes the next
+/// 512 weight spectra of a 32 MB working set (four times this VM's 2 MB L2
+/// per core), so the weights stream as they do on the served path; the
+/// ciphertext spectra (4 MB) are shared by every block, as served.
+void BM_SpectralMacBlock(benchmark::State& state) {
+  constexpr std::size_t kPairs = 64, kOutputs = 8, kSets = 2;
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t block = static_cast<std::size_t>(state.range(1));
+  const bfv::BfvParams params = bfv::BfvParams::create(n, 20, 49);
+  const bfv::BfvContext ctx(params);
+  const bfv::Evaluator ev(ctx, bfv::PolyMulBackend::kFft);
+  std::mt19937_64 rng(8);
+  std::uniform_real_distribution<double> big(-0x1p55, 0x1p55), small(-0x1p10, 0x1p10);
+  std::vector<bfv::Evaluator::CiphertextSpectrum> cts(kPairs);
+  for (auto& ct : cts) {
+    for (bfv::CipherSpectrum* c : {&ct.c0, &ct.c1}) {
+      c->backend = bfv::PolyMulBackend::kFft;
+      c->fft.resize(n / 2);
+      for (auto& v : c->fft) v = {big(rng), big(rng)};
+    }
+  }
+  // w[set][output][pair], sets cycled across iterations.
+  std::vector<bfv::PlainSpectrum> w(kSets * kOutputs * kPairs);
+  for (auto& spec : w) {
+    spec.backend = bfv::PolyMulBackend::kFft;
+    spec.fft.resize(n / 2);
+    for (auto& v : spec.fft) v = {small(rng), small(rng)};
+  }
+  std::vector<const bfv::PlainSpectrum*> ws(block);
+  std::size_t set = 0;
+  for (auto _ : state) {
+    for (std::size_t first = 0; first < kOutputs; first += block) {
+      core::ScratchFrame frame(core::thread_scratch());
+      const bfv::SpectralSums sums = ev.engine().zeroed_sums(2 * block, frame);
+      for (std::size_t i = 0; i < kPairs; ++i) {
+        for (std::size_t b = 0; b < block; ++b) {
+          ws[b] = &w[(set * kOutputs + first + b) * kPairs + i];
+        }
+        ev.multiply_accumulate(cts[i], ws, sums);
+      }
+      benchmark::DoNotOptimize(sums.fft[0]);
+      benchmark::ClobberMemory();
+    }
+    set = (set + 1) % kSets;
+  }
+}
+BENCHMARK(BM_SpectralMacBlock)->Args({4096, 1})->Args({4096, 2})->Args({4096, 4})->Args({4096, 8});
+
+/// One served finalize at N = 4096 on kFft: the inverse FFT of a sum plus
+/// the exact rounding back to Z_q (fft::round_to_zq, vectorized at AVX-512).
+void BM_Finalize(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const bfv::BfvParams params = bfv::BfvParams::create(n, 20, 49);
+  const bfv::BfvContext ctx(params);
+  const bfv::PolyMulEngine engine(ctx, bfv::PolyMulBackend::kFft);
+  std::mt19937_64 rng(9);
+  hemath::Poly ct(params.q, n);
+  for (std::size_t i = 0; i < n; ++i) ct[i] = rng() % params.q;
+  std::vector<hemath::i64> wv(n, 0);
+  for (int i = 0; i < 72; ++i) wv[rng() % n] = static_cast<hemath::i64>(rng() % 15) - 7;
+  bfv::SpectralAccumulator acc;
+  engine.multiply_accumulate(engine.transform_cipher_spectrum(ct),
+                             engine.transform_plain(ctx.encode_signed(wv)), acc);
+  for (auto _ : state) {
+    hemath::Poly out = engine.finalize(acc);
+    benchmark::DoNotOptimize(out.coeffs().data());
+  }
+}
+BENCHMARK(BM_Finalize)->Arg(4096);
+
 // Self-gate for --backend pow2: at equal 49-bit width, the mask-reduce
 // pointwise mulmod must beat the Barrett chain (one u64 mul + AND vs the
 // multiply-high reduction). Exits non-zero on violation so the CI perf job
@@ -399,15 +471,16 @@ bool pow2_beats_barrett_at_equal_width() {
 
 }  // namespace
 
-// --batch restricts the run to the batched-transform benchmarks — the record
-// set the committed BENCH_batch_pr7.json and BENCH_live_pr21.json baselines
-// gate in CI. Sugar for
-// --benchmark_filter=Batch that survives baseline re-records verbatim.
+// --batch restricts the run to the batched-transform benchmarks, the served
+// block MAC and finalize — the record set the committed BENCH_batch_pr7.json,
+// BENCH_live_pr21.json and BENCH_mac_pr23.json baselines gate in CI. Sugar
+// for --benchmark_filter=Batch|SpectralMacBlock|Finalize that survives
+// baseline re-records verbatim.
 // --backend pow2 likewise restricts to the Z_{2^k} benchmarks (the
 // BENCH_pow2_pr10.json record set) and additionally runs the
 // pow2-beats-Barrett self-gate before the measured run.
 int main(int argc, char** argv) {
-  static char filter_arg[] = "--benchmark_filter=Batch";
+  static char filter_arg[] = "--benchmark_filter=Batch|SpectralMacBlock|Finalize";
   static char pow2_filter_arg[] = "--benchmark_filter=Pow2";
   std::vector<char*> args;
   bool batch_only = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/scratch.hpp"
@@ -10,6 +11,7 @@
 #include "fft/negacyclic.hpp"
 #include "fft/transform_cache.hpp"
 #include "hemath/modular.hpp"
+#include "hemath/simd_batch.hpp"
 #include "sparsefft/executor.hpp"
 
 namespace flash::analysis {
@@ -159,7 +161,8 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPo
 
   // Per output channel: the final ciphertext accumulates every channel tile,
   // so the variance terms sum over tiles before the worst channel is taken.
-  const auto channel_ledger = [&](std::size_t m) {
+  // On kApproxFft, approx[tile] is the channel's FXP spectrum against tile.
+  const auto channel_ledger = [&](std::size_t m, const fft::cplx* const* approx) {
     core::ScratchFrame frame(core::thread_scratch());
     // V(k) = Σ_j w_j² · [(k - j) mod n is occupied] is the wrap variance
     // feeding output coefficient k (signs are irrelevant, variances add).
@@ -201,31 +204,17 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPo
       v_max = std::max(v_max, v);
     }
 
-    // ΔW = FXP(w) - FFT(w), read from the unit's spectra when it has them,
-    // otherwise computed with this channel's tiles as one FXP batch.
+    // ΔW = FXP(w) - FFT(w).
     if (is_approx) {
       const std::size_t half = n / 2;
       const fft::ButterflySchedule& live = plan->schedule();
       std::span<fft::cplx> z = frame.alloc<fft::cplx>(half);
       std::span<fft::cplx> spec_exact = frame.alloc<fft::cplx>(half);
-      std::span<fft::cplx> spec_fxp;
-      if (desc.spectra == nullptr) {
-        spec_fxp = frame.alloc<fft::cplx>(tiles * half);
-        std::span<const double*> in = frame.alloc<const double*>(tiles);
-        std::span<fft::cplx*> out = frame.alloc<fft::cplx*>(tiles);
-        for (std::size_t tile = 0; tile < tiles; ++tile) {
-          in[tile] = wd.data() + tile * n;
-          out[tile] = spec_fxp.data() + tile * half;
-        }
-        fxp->forward_batch_into(in, out, nullptr, &frame.arena(), &live);
-      }
       for (std::size_t tile = 0; tile < tiles; ++tile) {
         exact->fold_into(wd.subspan(tile * n, n), z, &live);
         sparsefft::execute_into(*plan, z, spec_exact);
-        const fft::cplx* approx = desc.spectra != nullptr ? (*desc.spectra)[m][tile].fft.data()
-                                                          : spec_fxp.data() + tile * half;
         for (std::size_t k = 0; k < half; ++k) {
-          const fft::cplx d = approx[k] - spec_exact[k];
+          const fft::cplx d = approx[tile][k] - spec_exact[k];
           delta2 += std::norm(d);
           delta_abs += std::abs(d);
         }
@@ -267,8 +256,45 @@ PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc, core::ThreadPo
     }
     return led;
   };
+  // Channels are certified a chunk at a time, the chunks fanned over the
+  // pool. On kApproxFft the FXP spectra are the unit's own when it has them;
+  // plan-less, a chunk's channels are transformed together before their
+  // ledgers, so the chunk fills whole SIMD lane groups (lcm(tiles, lanes)
+  // polynomials when a channel has fewer tiles than a group has lanes) and
+  // scratch holds one chunk's spectra, never the layer's.
+  const bool transform_here = is_approx && desc.spectra == nullptr;
+  const std::size_t lanes = hemath::simd_batch::active_group_lanes();
+  const std::size_t chunk = transform_here && tiles < lanes ? lanes / std::gcd(tiles, lanes) : 1;
   std::vector<ChannelLedger> ledgers(m_out);
-  core::for_range(pool, m_out, [&](std::size_t m) { ledgers[m] = channel_ledger(m); });
+  core::for_range(pool, (m_out + chunk - 1) / chunk, [&](std::size_t c) {
+    const std::size_t first = c * chunk;
+    const std::size_t count = std::min(chunk, m_out - first);
+    core::ScratchFrame frame(core::thread_scratch());
+    std::span<const fft::cplx*> approx = frame.alloc<const fft::cplx*>(count * tiles);
+    if (is_approx && !transform_here) {
+      for (std::size_t j = 0; j < count * tiles; ++j) {
+        approx[j] = (*desc.spectra)[first + j / tiles][j % tiles].fft.data();
+      }
+    }
+    if (transform_here) {
+      const std::size_t polys = count * tiles;
+      std::span<double> rows = frame.alloc<double>(polys * n);
+      std::span<fft::cplx> spec = frame.alloc<fft::cplx>(polys * (n / 2));
+      std::span<const double*> in = frame.alloc<const double*>(polys);
+      std::span<fft::cplx*> out = frame.alloc<fft::cplx*>(polys);
+      for (std::size_t j = 0; j < polys; ++j) {
+        const std::vector<i64> wc = enc.encode_weight(desc.weights, first + j / tiles, j % tiles);
+        std::copy(wc.begin(), wc.end(), rows.begin() + static_cast<std::ptrdiff_t>(j * n));
+        in[j] = rows.data() + j * n;
+        out[j] = spec.data() + j * (n / 2);
+        approx[j] = out[j];
+      }
+      fxp->forward_batch_into(in, out, nullptr, &frame.arena(), &plan->schedule());
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      ledgers[first + k] = channel_ledger(first + k, approx.data() + k * tiles);
+    }
+  });
 
   // Merge in channel order: the first channel with the largest certified
   // bound binds, whatever the thread count.

@@ -135,10 +135,10 @@ inline constexpr double kWitnessPeakFactor = 3.0;
 /// Certify one unit. Cheap relative to executing it: per output channel, the
 /// share-wrap variance costs O(nnz × occupied runs + N) (difference arrays
 /// over the runs of occupied slots, exact in integers), and on kApproxFft
-/// each channel tile adds one exact double FFT of the unit's plan — plus the
-/// skip-mode FXP transforms, one batch per channel, when desc.spectra is
-/// null. pool (optional,
-/// non-owning) fans the output channels out; their ledgers merge in channel
+/// each channel tile adds one exact double FFT of the unit's plan — plus,
+/// when desc.spectra is null, the skip-mode FXP transforms, run a chunk of
+/// channels at a time in full SIMD lane groups. pool (optional, non-owning)
+/// fans the chunks of output channels out; their ledgers merge in channel
 /// order, so the certificate does not depend on the thread count.
 PipelineCertificate certify_hconv_unit(const HConvUnitDesc& desc,
                                        core::ThreadPool* pool = nullptr);

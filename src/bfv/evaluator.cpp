@@ -26,12 +26,25 @@ Evaluator::CiphertextSpectrum Evaluator::transform_ciphertext(const Ciphertext& 
 
 void Evaluator::multiply_accumulate(const CiphertextSpectrum& ct_spec, const PlainSpectrum& w,
                                     CiphertextAccumulator& accum) const {
-  engine_.multiply_accumulate(ct_spec.c0, w, accum.c0);
-  engine_.multiply_accumulate(ct_spec.c1, w, accum.c1);
+  const CipherSpectrum* ct[] = {&ct_spec.c0, &ct_spec.c1};
+  const PlainSpectrum* ws[] = {&w};
+  SpectralAccumulator* accs[] = {&accum.c0, &accum.c1};
+  engine_.multiply_accumulate_block(ct, ws, accs);
+}
+
+void Evaluator::multiply_accumulate(const CiphertextSpectrum& ct_spec,
+                                    std::span<const PlainSpectrum* const> w,
+                                    const SpectralSums& sums) const {
+  const CipherSpectrum* ct[] = {&ct_spec.c0, &ct_spec.c1};
+  engine_.multiply_accumulate_block(ct, w, sums);
 }
 
 Ciphertext Evaluator::finalize(const CiphertextAccumulator& accum) const {
   return {engine_.finalize(accum.c0), engine_.finalize(accum.c1)};
+}
+
+Ciphertext Evaluator::finalize(const SpectralSums& sums, std::size_t b) const {
+  return {engine_.finalize(sums, b), engine_.finalize(sums, sums.size() / 2 + b)};
 }
 
 }  // namespace flash::bfv

@@ -35,6 +35,14 @@ class Evaluator {
   /// per output ciphertext. This is the dataflow the accelerator implements:
   /// activation transforms are shared across output channels and channel
   /// tiles accumulate before the inverse.
+  ///
+  /// The served form is a block of outputs that share each ciphertext:
+  /// multiply_accumulate(ct, w, sums) runs the engine's one MAC body over
+  /// both components and every w[b] in one pass, so each weight spectrum is
+  /// read once. `sums` holds 2 x w.size() sums — every output's c0 sum, then
+  /// every output's c1 sum — e.g. engine().zeroed_sums(2 * w.size(), frame);
+  /// finalize(sums, b) inverse-transforms output b. The single-output
+  /// overloads are blocks of one over a CiphertextAccumulator.
   struct CiphertextSpectrum {
     CipherSpectrum c0, c1;
   };
@@ -44,7 +52,11 @@ class Evaluator {
   CiphertextSpectrum transform_ciphertext(const Ciphertext& ct) const;
   void multiply_accumulate(const CiphertextSpectrum& ct_spec, const PlainSpectrum& w,
                            CiphertextAccumulator& accum) const;
+  void multiply_accumulate(const CiphertextSpectrum& ct_spec,
+                           std::span<const PlainSpectrum* const> w,
+                           const SpectralSums& sums) const;
   Ciphertext finalize(const CiphertextAccumulator& accum) const;
+  Ciphertext finalize(const SpectralSums& sums, std::size_t b) const;
 
  private:
   const BfvContext& ctx_;

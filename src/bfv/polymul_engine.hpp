@@ -22,6 +22,15 @@
 // transforms across ciphertext tiles and both ciphertext components. Every
 // ct x pt product, of one term or a sum of many, is the same three calls:
 // transform_cipher_spectrum -> multiply_accumulate -> finalize.
+//
+// multiply_accumulate_block is the one MAC body. It multiplies one or two
+// ciphertext spectra (a ciphertext's c0 and c1) into the sums of a block of
+// outputs; on the FP backends that is one pass of fft::spectral_mac_block,
+// which reads each weight spectrum once for both components and each
+// ciphertext chunk once for the whole block. The served round
+// (HConvProtocol::run_round) keeps a block's sums in the thread's scratch
+// arena (zeroed_sums) and finalizes them in place; the single-output calls
+// are blocks of one over an owned SpectralAccumulator.
 #pragma once
 
 #include <atomic>
@@ -33,6 +42,10 @@
 #include "bfv/context.hpp"
 #include "fft/fxp_fft.hpp"
 #include "hemath/pow2.hpp"
+
+namespace flash::core {
+class ScratchFrame;
+}  // namespace flash::core
 
 namespace flash::bfv {
 
@@ -69,6 +82,17 @@ struct SpectralAccumulator {
   std::vector<fft::cplx> fft;
   std::vector<u64> pow2;
   bool empty = true;
+};
+
+/// Borrowed storage for a block of spectral sums, the accumulators of
+/// multiply_accumulate_block: sum s holds n/2 complex values at fft[s] on
+/// the FP backends, or n residues at words[s] on kNtt and kPow2 (the other
+/// span is empty). PolyMulEngine::zeroed_sums carves one from a scratch
+/// frame; the storage lives as long as that frame.
+struct SpectralSums {
+  std::span<fft::cplx* const> fft;
+  std::span<u64* const> words;
+  std::size_t size() const { return fft.empty() ? words.size() : fft.size(); }
 };
 
 /// Operation counters for profiling (feeds the Fig. 1 breakdown and the
@@ -127,19 +151,51 @@ class PolyMulEngine {
   std::vector<PlainSpectrum> transform_plain_batch(
       std::span<const Plaintext> pts, const fft::ButterflySchedule* live = nullptr) const;
 
+  /// The body of transform_plain_batch, on polynomials already lifted:
+  /// rows[b] holds n doubles, the signed representatives mod t of
+  /// polynomial b's coefficients (what transform_plain_batch lifts a
+  /// Plaintext to, e.g. from encoding::ConvEncoder::encode_weight_into).
+  /// Fills out[b] (out.size() == rows.size()); the same batching, skip mode
+  /// and counting as transform_plain_batch, whose spectra it reproduces bit
+  /// for bit.
+  void transform_signed_batch(std::span<const double* const> rows, std::span<PlainSpectrum> out,
+                              const fft::ButterflySchedule* live = nullptr) const;
+
   /// Transform a ciphertext polynomial once; reused across output channels.
   CipherSpectrum transform_cipher_spectrum(const Poly& ct_poly) const;
 
-  /// accum += ct_spec * w (point-wise, in the spectral domain).
+  /// accum += ct_spec * w (point-wise, in the spectral domain): a block of
+  /// one output and one component.
   void multiply_accumulate(const CipherSpectrum& ct_spec, const PlainSpectrum& w,
                            SpectralAccumulator& accum) const;
 
+  /// The one MAC body: sums[c * w.size() + b] += ct[c] * w[b] for every
+  /// component c (one or two) and output b. The FP backends run the fused
+  /// kernel (fft::spectral_mac_block) once per call; kNtt runs
+  /// pointwise_mulmod_accumulate and kPow2 its negacyclic product per
+  /// (output, component). Backends are checked once per call
+  /// (std::invalid_argument on a mismatch or a wrong number of sums), and
+  /// pointwise_products rises by w.size() x ct.size() products.
+  void multiply_accumulate_block(std::span<const CipherSpectrum* const> ct,
+                                 std::span<const PlainSpectrum* const> w,
+                                 const SpectralSums& sums) const;
+  /// The same over owned accumulators, sized and zeroed on first use.
+  void multiply_accumulate_block(std::span<const CipherSpectrum* const> ct,
+                                 std::span<const PlainSpectrum* const> w,
+                                 std::span<SpectralAccumulator* const> accs) const;
+
+  /// `count` zeroed sums for multiply_accumulate_block, in `frame`.
+  SpectralSums zeroed_sums(std::size_t count, core::ScratchFrame& frame) const;
+
   /// One inverse transform: spectral accumulation back to a ring element.
   Poly finalize(const SpectralAccumulator& accum) const;
+  /// The same for sum s of a block.
+  Poly finalize(const SpectralSums& sums, std::size_t s) const;
 
-  /// finalize's FP inverse with rounding back to Z_q, public for spectra
-  /// built outside the engine (the oracle's sparse-executor check).
-  Poly inverse_to_poly(const std::vector<fft::cplx>& spec) const;
+  /// finalize's FP inverse with rounding back to Z_q (fft::round_to_zq,
+  /// eight lanes at a time at AVX-512), public for spectra built outside
+  /// the engine (the oracle's sparse-executor check).
+  Poly inverse_to_poly(std::span<const fft::cplx> spec) const;
 
  private:
   /// Internal tallies are atomics so that transform methods — which are
@@ -152,6 +208,14 @@ class PolyMulEngine {
     std::atomic<std::uint64_t> inverse_transforms{0};
     std::atomic<std::uint64_t> pointwise_products{0};
   };
+
+  bool is_fp() const {
+    return backend_ == PolyMulBackend::kFft || backend_ == PolyMulBackend::kApproxFft;
+  }
+  void check_backends(std::span<const CipherSpectrum* const> ct,
+                      std::span<const PlainSpectrum* const> w) const;
+  /// finalize on kNtt (inverse NTT) and kPow2 (a copy).
+  Poly inverse_words(std::span<const u64> words) const;
 
   const BfvContext& ctx_;
   PolyMulBackend backend_;

@@ -1,8 +1,10 @@
 #include "encoding/encoder.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fft/negacyclic.hpp"
+#include "hemath/modular.hpp"
 
 namespace flash::encoding {
 
@@ -51,8 +53,9 @@ std::vector<i64> ConvEncoder::encode_activation(const tensor::Tensor3& x, std::s
   return poly;
 }
 
-std::vector<i64> ConvEncoder::encode_weight(const tensor::Tensor4& weights, std::size_t m,
-                                            std::size_t tile) const {
+template <typename Put>
+void ConvEncoder::place_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile,
+                               Put put) const {
   if (weights.in_channels() != geo_.c || weights.kernel_h() != geo_.kh() ||
       weights.kernel_w() != geo_.kw()) {
     throw std::invalid_argument("encode_weight: tensor shape mismatch");
@@ -60,18 +63,34 @@ std::vector<i64> ConvEncoder::encode_weight(const tensor::Tensor4& weights, std:
   if (m >= weights.out_channels()) throw std::out_of_range("encode_weight: output channel");
   const std::size_t cpp = geo_.channels_per_poly();
   if (tile >= geo_.channel_tiles()) throw std::out_of_range("encode_weight: tile out of range");
-  std::vector<i64> poly(geo_.n, 0);
   const std::size_t c0 = tile * cpp;
   for (std::size_t c = c0; c < c0 + cpp && c < geo_.c; ++c) {
     const std::size_t local = c - c0;
     for (std::size_t i = 0; i < geo_.kh(); ++i) {
       for (std::size_t j = 0; j < geo_.kw(); ++j) {
-        poly[(cpp - 1 - local) * geo_.h * geo_.w + (geo_.kh() - 1 - i) * geo_.w +
-             (geo_.kw() - 1 - j)] = weights.at(m, c, i, j);
+        put((cpp - 1 - local) * geo_.h * geo_.w + (geo_.kh() - 1 - i) * geo_.w +
+                (geo_.kw() - 1 - j),
+            weights.at(m, c, i, j));
       }
     }
   }
+}
+
+std::vector<i64> ConvEncoder::encode_weight(const tensor::Tensor4& weights, std::size_t m,
+                                            std::size_t tile) const {
+  std::vector<i64> poly(geo_.n, 0);
+  place_weight(weights, m, tile, [&](std::size_t at, i64 v) { poly[at] = v; });
   return poly;
+}
+
+void ConvEncoder::encode_weight_into(const tensor::Tensor4& weights, std::size_t m,
+                                     std::size_t tile, std::uint64_t t,
+                                     std::span<double> out) const {
+  if (out.size() != geo_.n) throw std::invalid_argument("encode_weight_into: size mismatch");
+  std::fill(out.begin(), out.end(), 0.0);
+  place_weight(weights, m, tile, [&](std::size_t at, i64 v) {
+    out[at] = static_cast<double>(hemath::to_signed(hemath::from_signed(v, t), t));
+  });
 }
 
 std::vector<std::size_t> ConvEncoder::output_positions() const {

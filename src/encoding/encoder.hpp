@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sparsefft/pattern.hpp"
@@ -66,6 +67,11 @@ class ConvEncoder {
 
   /// Encode the weights of output channel m restricted to channel tile `tile`.
   std::vector<i64> encode_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile) const;
+  /// The same polynomial written into `out` (n values, zeros included) as
+  /// the doubles the FP weight transforms read: each weight's signed
+  /// representative mod t, as the engine lifts a plaintext.
+  void encode_weight_into(const tensor::Tensor4& weights, std::size_t m, std::size_t tile,
+                          std::uint64_t t, std::span<double> out) const;
 
   /// Positions in the product polynomial that hold the out_h x out_w
   /// convolution outputs (row-major).
@@ -81,6 +87,11 @@ class ConvEncoder {
   sparsefft::SparsityPattern weight_pattern() const;
 
  private:
+  /// Calls put(coefficient, weight) for every weight of (m, tile).
+  template <typename Put>
+  void place_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile,
+                    Put put) const;
+
   ConvGeometry geo_;
 };
 

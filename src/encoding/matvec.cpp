@@ -1,8 +1,10 @@
 #include "encoding/matvec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fft/negacyclic.hpp"
+#include "hemath/modular.hpp"
 
 namespace flash::encoding {
 
@@ -23,20 +25,36 @@ std::vector<i64> MatVecEncoder::encode_vector(const std::vector<i64>& x) const {
   return poly;
 }
 
-std::vector<i64> MatVecEncoder::encode_matrix(const std::vector<i64>& w_row_major,
-                                              std::size_t chunk) const {
+template <typename Put>
+void MatVecEncoder::place_matrix(const std::vector<i64>& w_row_major, std::size_t chunk,
+                                 Put put) const {
   if (w_row_major.size() != in_features_ * out_features_) {
     throw std::invalid_argument("encode_matrix: size mismatch");
   }
   if (chunk >= poly_count_) throw std::out_of_range("encode_matrix: chunk out of range");
-  std::vector<i64> poly(n_, 0);
   const std::size_t row_base = chunk * rows_per_poly_;
   for (std::size_t r = 0; r < rows_per_poly_ && row_base + r < out_features_; ++r) {
     for (std::size_t i = 0; i < in_features_; ++i) {
-      poly[r * in_features_ + (in_features_ - 1 - i)] = w_row_major[(row_base + r) * in_features_ + i];
+      put(r * in_features_ + (in_features_ - 1 - i),
+          w_row_major[(row_base + r) * in_features_ + i]);
     }
   }
+}
+
+std::vector<i64> MatVecEncoder::encode_matrix(const std::vector<i64>& w_row_major,
+                                              std::size_t chunk) const {
+  std::vector<i64> poly(n_, 0);
+  place_matrix(w_row_major, chunk, [&](std::size_t at, i64 v) { poly[at] = v; });
   return poly;
+}
+
+void MatVecEncoder::encode_matrix_into(const std::vector<i64>& w_row_major, std::size_t chunk,
+                                       std::uint64_t t, std::span<double> out) const {
+  if (out.size() != n_) throw std::invalid_argument("encode_matrix_into: size mismatch");
+  std::fill(out.begin(), out.end(), 0.0);
+  place_matrix(w_row_major, chunk, [&](std::size_t at, i64 v) {
+    out[at] = static_cast<double>(hemath::to_signed(hemath::from_signed(v, t), t));
+  });
 }
 
 std::vector<std::size_t> MatVecEncoder::output_positions(std::size_t chunk) const {

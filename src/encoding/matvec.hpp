@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -35,6 +36,11 @@ class MatVecEncoder {
 
   /// Rows [chunk*rows_per_poly, ...) of the row-major matrix.
   std::vector<i64> encode_matrix(const std::vector<i64>& w_row_major, std::size_t chunk) const;
+  /// encode_matrix's polynomial written into `out` (n values) as each
+  /// weight's signed representative mod t, in doubles (see
+  /// ConvEncoder::encode_weight_into).
+  void encode_matrix_into(const std::vector<i64>& w_row_major, std::size_t chunk, std::uint64_t t,
+                          std::span<double> out) const;
 
   /// Positions of the outputs inside a product polynomial.
   std::vector<std::size_t> output_positions(std::size_t chunk) const;
@@ -43,6 +49,10 @@ class MatVecEncoder {
   std::vector<i64> extract(const std::vector<i64>& product, std::size_t chunk) const;
 
  private:
+  /// Calls put(coefficient, weight) for every weight of `chunk`.
+  template <typename Put>
+  void place_matrix(const std::vector<i64>& w_row_major, std::size_t chunk, Put put) const;
+
   std::size_t n_, in_features_, out_features_, rows_per_poly_, poly_count_;
 };
 

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "core/scratch.hpp"
 #include "encoding/matvec.hpp"
 #include "hemath/simd_batch.hpp"
 #include "sparsefft/planner.hpp"
@@ -23,6 +24,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 constexpr std::uint64_t kStreamShare = 0;
 constexpr std::uint64_t kStreamEncrypt = 1;  // + activation polynomial index
 constexpr std::uint64_t kStreamMask = 2;     // + output index
+
+// Outputs per block MAC in run_round. BM_SpectralMacBlock/4096 runs eight
+// outputs over 64 ciphertext pairs, with weight spectra streamed from a
+// working set beyond L2; at AVX-512 on a 4-vCPU Xeon VM (2 MB L2 per core)
+// blocks of 1, 2, 4 and 8 outputs took 4.8, 3.4, 1.8 and 2.1 ms (medians of
+// 5). Four keeps a block's eight sums (256 KB at N = 4096) well inside L2.
+constexpr std::size_t kMacBlock = 4;
 
 std::uint64_t substream(std::uint64_t run_seed, std::uint64_t purpose, std::uint64_t index) {
   return hemath::derive_stream_seed(run_seed, (purpose << 32) + index);
@@ -66,7 +74,7 @@ HConvResult HConvProtocol::run(const tensor::Tensor3& x, const tensor::Tensor4& 
 }
 
 std::vector<bfv::PlainSpectrum> HConvProtocol::transform_weights(
-    std::size_t count, const EncodeFn& poly, const fft::ButterflySchedule* live) const {
+    std::size_t count, const WeightRowFn& row, const fft::ButterflySchedule* live) const {
   const auto& p = ctx_.params();
   // Weight transforms (the FLASH-accelerated hot loop), embarrassingly
   // parallel: groups of one SIMD lane width fan out over the pool, and each
@@ -74,18 +82,22 @@ std::vector<bfv::PlainSpectrum> HConvProtocol::transform_weights(
   // per-process guarantees from the transform layer: the first touch of a
   // transform config builds its tables outside the cache shard lock
   // (concurrent first-touches used to convoy the pool), and each worker's
-  // transform scratch comes from its own thread-local arena.
+  // transform scratch comes from its own thread-local arena. Each weight
+  // polynomial is encoded once, into its row of the group's doubles there.
   const std::size_t group = hemath::simd_batch::active_group_lanes();
   std::vector<bfv::PlainSpectrum> spec(count);
   core::for_range(pool_, (count + group - 1) / group, [&](std::size_t g) {
     const std::size_t first = g * group;
-    std::vector<bfv::Plaintext> pts(std::min(group, count - first), ctx_.make_plaintext());
-    for (std::size_t k = 0; k < pts.size(); ++k) {
-      const std::vector<i64> coeffs = poly(first + k);
-      for (std::size_t i = 0; i < p.n; ++i) pts[k].poly[i] = hemath::from_signed(coeffs[i], p.t);
+    const std::size_t k = std::min(group, count - first);
+    core::ScratchFrame frame(core::thread_scratch());
+    std::span<double> vals = frame.alloc<double>(k * p.n);
+    std::span<const double*> rows = frame.alloc<const double*>(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      row(first + j, vals.subspan(j * p.n, p.n));
+      rows[j] = vals.data() + j * p.n;
     }
-    std::vector<bfv::PlainSpectrum> out = evaluator_.engine().transform_plain_batch(pts, live);
-    std::move(out.begin(), out.end(), spec.begin() + static_cast<std::ptrdiff_t>(first));
+    evaluator_.engine().transform_signed_batch(
+        rows, std::span<bfv::PlainSpectrum>(spec).subspan(first, k), live);
   });
   return spec;
 }
@@ -113,7 +125,9 @@ std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_wei
   }
   std::vector<bfv::PlainSpectrum> spec = transform_weights(
       out_channels * tiles,
-      [&](std::size_t idx) { return enc.encode_weight(weights, idx / tiles, idx % tiles); },
+      [&](std::size_t idx, std::span<double> row) {
+        enc.encode_weight_into(weights, idx / tiles, idx % tiles, p.t, row);
+      },
       plan ? &plan->schedule() : nullptr);
   prepared->spec.resize(out_channels);
   for (std::size_t m = 0; m < out_channels; ++m) {
@@ -208,19 +222,30 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
   // --- Server: ct ⊠ w through the spectral pipeline of Fig. 4(b): each
   // ciphertext is transformed once (shared across all outputs), its
   // products accumulate point-wise, and one inverse transform produces each
-  // output ciphertext. Each output owns its accumulator, so the output loop
-  // parallelizes without sharing mutable state.
+  // output ciphertext. Each pool task owns a block of outputs: one block
+  // MAC per ciphertext streams each weight spectrum once into both
+  // components' sums, which live in the task's scratch arena and are
+  // finalized in place. Every sum still adds i = 0..polys-1 in order, so
+  // the block width changes no bit. The block narrows when there are fewer
+  // than kMacBlock outputs per thread, so no thread goes without a task.
   t0 = std::chrono::steady_clock::now();
   std::vector<bfv::Evaluator::CiphertextSpectrum> ct_specs(polys);
   core::for_range(pool_, polys,
                   [&](std::size_t i) { ct_specs[i] = evaluator_.transform_ciphertext(cts[i]); });
-  std::vector<bfv::Ciphertext> acc(outputs, ctx_.make_ciphertext());
-  core::for_range(pool_, outputs, [&](std::size_t m) {
-    bfv::Evaluator::CiphertextAccumulator accum;
+  const std::size_t threads = pool_ != nullptr ? pool_->thread_count() : 1;
+  const std::size_t block = std::clamp<std::size_t>(outputs / threads, 1, kMacBlock);
+  std::vector<bfv::Ciphertext> acc(outputs);
+  core::for_range(pool_, (outputs + block - 1) / block, [&](std::size_t task) {
+    const std::size_t first = task * block;
+    const std::size_t count = std::min(block, outputs - first);
+    core::ScratchFrame frame(core::thread_scratch());
+    const bfv::SpectralSums sums = evaluator_.engine().zeroed_sums(2 * count, frame);
+    std::span<const bfv::PlainSpectrum*> w = frame.alloc<const bfv::PlainSpectrum*>(count);
     for (std::size_t i = 0; i < polys; ++i) {
-      evaluator_.multiply_accumulate(ct_specs[i], spec[m][i], accum);
+      for (std::size_t b = 0; b < count; ++b) w[b] = &spec[first + b][i];
+      evaluator_.multiply_accumulate(ct_specs[i], w, sums);
     }
-    acc[m] = evaluator_.finalize(accum);
+    for (std::size_t b = 0; b < count; ++b) acc[first + b] = evaluator_.finalize(sums, b);
   });
   result.profile.cipher_transform_mul_s += seconds_since(t0);
 
@@ -275,8 +300,10 @@ HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
   // Server: one weight spectrum per matrix chunk, each multiplying the one
   // activation ciphertext.
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<bfv::PlainSpectrum> chunk_spec = transform_weights(
-      chunks, [&](std::size_t chunk) { return enc.encode_matrix(w_row_major, chunk); });
+  std::vector<bfv::PlainSpectrum> chunk_spec =
+      transform_weights(chunks, [&](std::size_t chunk, std::span<double> row) {
+        enc.encode_matrix_into(w_row_major, chunk, p.t, row);
+      });
   std::vector<std::vector<bfv::PlainSpectrum>> spec(chunks);
   std::vector<std::vector<std::size_t>> positions(chunks);
   for (std::size_t chunk = 0; chunk < chunks; ++chunk) {

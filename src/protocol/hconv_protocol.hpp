@@ -148,16 +148,20 @@ class HConvProtocol {
  private:
   /// Coefficients of activation polynomial i, for one party's share.
   using EncodeFn = std::function<std::vector<i64>(std::size_t)>;
+  /// Writes weight polynomial i into its n-double row: each coefficient's
+  /// signed representative mod t (ConvEncoder::encode_weight_into).
+  using WeightRowFn = std::function<void(std::size_t, std::span<double>)>;
   /// Where output m's values sit in its product polynomial.
   using PositionsFn = std::function<std::span<const std::size_t>(std::size_t)>;
 
-  /// Weight spectra of polynomials 0..count-1 (poly(i) gives the signed
-  /// coefficients of polynomial i), transformed in groups of one SIMD lane
-  /// width that fan out over the pool. Conv and FC weights both go here;
-  /// `live` (kApproxFft skip mode) is the schedule of the polynomials'
-  /// shared folded pattern, null for the dense transform.
+  /// Weight spectra of polynomials 0..count-1, transformed in groups of one
+  /// SIMD lane width that fan out over the pool. row(i, r) encodes
+  /// polynomial i straight into its row of the group's doubles in the
+  /// thread's scratch arena. Conv and FC weights both go here; `live`
+  /// (kApproxFft skip mode) is the schedule of the polynomials' shared
+  /// folded pattern, null for the dense transform.
   std::vector<bfv::PlainSpectrum> transform_weights(
-      std::size_t count, const EncodeFn& poly,
+      std::size_t count, const WeightRowFn& row,
       const fft::ButterflySchedule* live = nullptr) const;
 
   /// The round both conv and FC layers run (Fig. 1 with Fig. 4(b)'s

@@ -9,6 +9,7 @@
 #include "bfv/context.hpp"
 #include "bfv/polymul_engine.hpp"
 #include "core/flash_accelerator.hpp"
+#include "core/scratch.hpp"
 #include "dse/space.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/pow2.hpp"
@@ -45,6 +46,72 @@ hemath::Poly product(const bfv::PolyMulEngine& engine, const hemath::Poly& ct,
   bfv::SpectralAccumulator acc;
   engine.multiply_accumulate(engine.transform_cipher_spectrum(ct), w, acc);
   return engine.finalize(acc);
+}
+
+/// The mac-block-vs-single arm: five outputs (weights derived from `w`)
+/// over two ciphertexts of both components, through the served block MAC
+/// into scratch sums, against one single-output MAC per (output,
+/// component): finalized polynomials and pointwise_products must agree.
+OracleReport mac_block_vs_single(const bfv::BfvContext& ctx, const bfv::PolyMulEngine& engine,
+                                 const std::vector<u64>& ct, const std::vector<i64>& w) {
+  const auto& p = ctx.params();
+  const std::size_t n = p.n;
+  constexpr std::size_t kOutputs = 5;
+  std::vector<bfv::PlainSpectrum> ws;
+  for (std::size_t b = 0; b < kOutputs; ++b) {
+    bfv::Plaintext pt = ctx.make_plaintext();
+    const i64 sign = b % 2 == 0 ? 1 : -1;
+    for (std::size_t i = 0; i < n; ++i) pt.poly[i] = from_signed(sign * w[(i + b) % n], p.t);
+    ws.push_back(engine.transform_plain(pt));
+  }
+  // Two ciphertexts: the case's and a derived one, each as (c0, c1).
+  std::vector<hemath::Poly> polys;
+  for (std::size_t j = 0; j < 4; ++j) {
+    hemath::Poly poly(p.q, n);
+    for (std::size_t i = 0; i < n; ++i) poly[i] = add_mod(ct[(i * (j + 1)) % n], j, p.q);
+    polys.push_back(std::move(poly));
+  }
+  std::vector<bfv::CipherSpectrum> specs;
+  for (const hemath::Poly& poly : polys) specs.push_back(engine.transform_cipher_spectrum(poly));
+
+  const std::uint64_t before_block = engine.counters().pointwise_products;
+  std::vector<hemath::Poly> block;
+  {
+    core::ScratchFrame frame(core::thread_scratch());
+    const bfv::SpectralSums sums = engine.zeroed_sums(2 * kOutputs, frame);
+    std::vector<const bfv::PlainSpectrum*> w_ptr;
+    for (const auto& spec : ws) w_ptr.push_back(&spec);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const bfv::CipherSpectrum* pair[] = {&specs[2 * i], &specs[2 * i + 1]};
+      engine.multiply_accumulate_block(pair, w_ptr, sums);
+    }
+    for (std::size_t s = 0; s < 2 * kOutputs; ++s) block.push_back(engine.finalize(sums, s));
+  }
+  const std::uint64_t block_products = engine.counters().pointwise_products - before_block;
+
+  const std::uint64_t before_single = engine.counters().pointwise_products;
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t b = 0; b < kOutputs; ++b) {
+      bfv::SpectralAccumulator acc;
+      for (std::size_t i = 0; i < 2; ++i) engine.multiply_accumulate(specs[2 * i + c], ws[b], acc);
+      const hemath::Poly single = engine.finalize(acc);
+      const hemath::Poly& got = block[c * kOutputs + b];
+      for (std::size_t k = 0; k < n; ++k) {
+        if (got[k] != single[k]) {
+          return fail("mac-block-vs-single", "output " + std::to_string(b) + " component " +
+                                                 std::to_string(c) + ": " +
+                                                 coeff_mismatch(k, got[k], single[k]));
+        }
+      }
+    }
+  }
+  const std::uint64_t single_products = engine.counters().pointwise_products - before_single;
+  if (block_products != single_products) {
+    return fail("mac-block-vs-single", "block counted " + std::to_string(block_products) +
+                                           " pointwise products, singles " +
+                                           std::to_string(single_products));
+  }
+  return OracleReport{};
 }
 
 /// Degrade the CSD twiddle quantization to a single digit of depth 2 — far
@@ -280,6 +347,17 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
     const hemath::Poly out = product(fft_engine, ct, fft_engine.transform_plain(pt));
     const OracleReport r = fp_deviation_check("fft-vs-ntt", out, ref);
     if (!r.ok) return r;
+  }
+
+  // --- 3b. The served block MAC equals single-output MACs, bit for bit, on
+  //         every spectral backend. ---
+  {
+    const bfv::PolyMulEngine approx_engine(ctx, bfv::PolyMulBackend::kApproxFft,
+                                           core::default_approx_config(n, p.t));
+    for (const bfv::PolyMulEngine* engine : {&ntt_engine, &fft_engine, &approx_engine}) {
+      const OracleReport r = mac_block_vs_single(ctx, *engine, c.ct, c.w);
+      if (!r.ok) return r;
+    }
   }
 
   // Shared FP-side ingredients for the sparse and approximate checks.

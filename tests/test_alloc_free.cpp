@@ -11,6 +11,8 @@
 #include <random>
 #include <vector>
 
+#include "bfv/encrypt.hpp"
+#include "bfv/evaluator.hpp"
 #include "core/flash_accelerator.hpp"
 #include "core/scratch.hpp"
 #include "fft/complex_fft.hpp"
@@ -267,6 +269,46 @@ TEST(AllocFree, Pow2NegacyclicIntoAndBatchIntoAfterWarmup) {
   hemath::negacyclic_mul_pow2_batch_into(std::span<const u64* const>(ct_ptrs), w.data(),
                                          std::span<u64* const>(out_ptrs), n, ring, &arena);
   EXPECT_EQ(allocs() - before, 0u);
+}
+
+TEST(AllocFree, BlockMacAndFinalizeAllocateOnlyTheOutputPolys) {
+  // The served round's block: sums from the scratch arena, one block MAC
+  // per ciphertext, finalize in place. After a warm-up block, the only heap
+  // allocations are the output ciphertexts' two Polys each.
+  const auto params = bfv::BfvParams::create(1024, 16, 40);
+  const bfv::BfvContext ctx(params);
+  hemath::Sampler sampler(2303);
+  bfv::KeyGenerator keygen(ctx, sampler);
+  const bfv::PreparedPublicKey pk =
+      bfv::prepare_public_key(ctx, keygen.public_key(keygen.secret_key()));
+  bfv::Encryptor enc(ctx, sampler);
+  std::vector<hemath::i64> x(params.n, 3), wv(params.n, 0);
+  constexpr std::size_t kOutputs = 4, kPolys = 3;
+  for (const bfv::PolyMulBackend backend : {bfv::PolyMulBackend::kFft, bfv::PolyMulBackend::kNtt}) {
+    const bfv::Evaluator ev(ctx, backend);
+    std::vector<bfv::Evaluator::CiphertextSpectrum> cts;
+    for (std::size_t i = 0; i < kPolys; ++i) {
+      cts.push_back(ev.transform_ciphertext(enc.encrypt(ctx.encode_signed(x), pk)));
+    }
+    std::vector<bfv::PlainSpectrum> w;
+    for (std::size_t b = 0; b < kOutputs; ++b) {
+      wv[b * 7] = static_cast<hemath::i64>(b) + 1;
+      w.push_back(ev.transform_plain(ctx.encode_signed(wv)));
+    }
+    std::vector<bfv::Ciphertext> out(kOutputs);
+    const auto run_block = [&] {
+      core::ScratchFrame frame(core::thread_scratch());
+      const bfv::SpectralSums sums = ev.engine().zeroed_sums(2 * kOutputs, frame);
+      std::span<const bfv::PlainSpectrum*> ws = frame.alloc<const bfv::PlainSpectrum*>(kOutputs);
+      for (std::size_t b = 0; b < kOutputs; ++b) ws[b] = &w[b];
+      for (const auto& ct : cts) ev.multiply_accumulate(ct, ws, sums);
+      for (std::size_t b = 0; b < kOutputs; ++b) out[b] = ev.finalize(sums, b);
+    };
+    run_block();  // warm-up sizes the arena
+    const std::uint64_t before = allocs();
+    run_block();
+    EXPECT_EQ(allocs() - before, 2 * kOutputs);
+  }
 }
 
 TEST(AllocFree, SparseExecuteInto) {

@@ -5,6 +5,9 @@
 // mulmod including edge residues. Skips the comparisons on CPUs without AVX2.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 
@@ -14,6 +17,7 @@
 #include "fft/complex_fft.hpp"
 #include "fft/fxp_fft.hpp"
 #include "fft/negacyclic.hpp"
+#include "fft/spectral.hpp"
 #include "fft/transform_cache.hpp"
 #include "hemath/modular.hpp"
 #include "hemath/ntt.hpp"
@@ -460,6 +464,159 @@ TEST(SimdBatchKernels, EngineWeightBatchBitIdenticalAtServedConfig) {
         expect_bit_identical(out[b].fft, ref[b].fft);
       }
     }
+  }
+}
+
+// --- Spectral point-wise kernels (fft/spectral.hpp) -------------------------
+
+bool same_bits(const cplx& a, const cplx& b) { return std::memcmp(&a, &b, sizeof(cplx)) == 0; }
+
+/// A spectrum at served magnitudes (ciphertext side up to 2^55, weight side
+/// up to 2^10), with ±0.0 and large and tiny exponents planted; every
+/// product and sum stays finite.
+std::vector<cplx> served_spectrum(std::size_t half, double scale, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> dist(-scale, scale);
+  std::vector<cplx> a(half);
+  for (auto& x : a) x = {dist(rng), dist(rng)};
+  const double planted[] = {0.0, -0.0, std::ldexp(1.5, 300), -std::ldexp(1.25, 280),
+                            std::ldexp(1.0, -300), -std::ldexp(1.75, -320)};
+  for (std::size_t j = 0; j < 24 && j < half; ++j) {
+    const std::size_t k = rng() % half;
+    a[k] = {planted[rng() % 6], planted[rng() % 6]};
+  }
+  return a;
+}
+
+TEST(SimdBatchKernels, SpectralMacBlockBitIdenticalAcrossLevels) {
+  std::mt19937_64 rng(2301);
+  // half = 6 runs the vector kernels' scalar tails.
+  for (std::size_t half : {std::size_t{6}, std::size_t{1024}, std::size_t{2048}}) {
+    for (std::size_t components : {std::size_t{1}, std::size_t{2}}) {
+      for (std::size_t outputs = 1; outputs <= 5; ++outputs) {
+        std::vector<std::vector<cplx>> ct, w, init;
+        for (std::size_t c = 0; c < components; ++c) {
+          ct.push_back(served_spectrum(half, 0x1p55, rng));
+        }
+        for (std::size_t b = 0; b < outputs; ++b) w.push_back(served_spectrum(half, 0x1p10, rng));
+        for (std::size_t s = 0; s < components * outputs; ++s) {
+          init.push_back(served_spectrum(half, 0x1p70, rng));
+        }
+        // The reference is the loop the kernel replaced: acc += c * w.
+        std::vector<std::vector<cplx>> want = init;
+        for (std::size_t c = 0; c < components; ++c) {
+          for (std::size_t b = 0; b < outputs; ++b) {
+            for (std::size_t k = 0; k < half; ++k) want[c * outputs + b][k] += ct[c][k] * w[b][k];
+          }
+        }
+        std::vector<const cplx*> ct_ptr, w_ptr;
+        for (const auto& v : ct) ct_ptr.push_back(v.data());
+        for (const auto& v : w) w_ptr.push_back(v.data());
+        for (SimdLevel lvl : supported_levels()) {
+          ScopedSimdLevel level(lvl);
+          std::vector<std::vector<cplx>> got = init;
+          std::vector<cplx*> acc_ptr;
+          for (auto& v : got) acc_ptr.push_back(v.data());
+          fft::spectral_mac_block(ct_ptr, w_ptr, acc_ptr, half);
+          // A remainder block: outputs split as a block of one and the rest.
+          std::vector<std::vector<cplx>> split = init;
+          for (std::size_t first : {std::size_t{0}, std::size_t{1}}) {
+            const std::size_t count = first == 0 ? 1 : outputs - 1;
+            if (count == 0) continue;
+            std::vector<cplx*> part;
+            for (std::size_t c = 0; c < components; ++c) {
+              for (std::size_t b = first; b < first + count; ++b) {
+                part.push_back(split[c * outputs + b].data());
+              }
+            }
+            const auto w_part = std::span<const cplx* const>(w_ptr).subspan(first, count);
+            fft::spectral_mac_block(ct_ptr, w_part, part, half);
+          }
+          for (std::size_t s = 0; s < want.size(); ++s) {
+            for (std::size_t k = 0; k < half; ++k) {
+              ASSERT_TRUE(same_bits(got[s][k], want[s][k]))
+                  << hemath::simd::simd_level_name(lvl) << " half " << half << " components "
+                  << components << " outputs " << outputs << " sum " << s << " k " << k;
+              ASSERT_TRUE(same_bits(split[s][k], want[s][k]))
+                  << hemath::simd::simd_level_name(lvl) << " split block, sum " << s;
+            }
+          }
+        }
+      }
+    }
+  }
+  const cplx* one[] = {nullptr};
+  cplx* sums[] = {nullptr, nullptr};
+  EXPECT_THROW(fft::spectral_mac_block({}, one, {}, 4), std::invalid_argument);
+  EXPECT_THROW(fft::spectral_mac_block(one, one, sums, 4), std::invalid_argument);
+}
+
+TEST(SimdBatchKernels, InverseRoundingMatchesScalarRuleAcrossLevels) {
+  // The rule: from_signed(llround(x), q), which the division-free rounding
+  // reproduces at every level.
+  const auto rule = [](double x, u64 q) { return hemath::from_signed(std::llround(x), q); };
+  std::mt19937_64 rng(2302);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const u64 q : {u64{3}, u64{17}, u64{4093}, u64{65537}, (u64{1} << 44) - 21,
+                      hemath::find_ntt_prime(49, 4096)}) {
+    std::vector<double> xs = {0.0, -0.0, 0.5, -0.5, 1.5, -2.5, inf, -inf,
+                              std::numeric_limits<double>::quiet_NaN(), 0x1p62, -0x1p62,
+                              std::nextafter(0x1p62, 0.0), -std::nextafter(0x1p62, 0.0), 0x1p63,
+                              0x1p70, -0x1p70};
+    const auto qd = static_cast<double>(q);
+    const auto unit = [&] { return std::ldexp(static_cast<double>(rng() >> 11), -53); };
+    for (int j = 0; j < 4000; ++j) {
+      // Multiples of q and the exact halves around them (below 2^52, where
+      // halves exist), and the double just below each half.
+      const double k = std::floor(unit() * (0x1p52 / qd));
+      for (const double base : {k * qd, k * qd + 1, k * qd - 1}) {
+        for (const double x : {base, base + 0.5, base - 0.5, std::nextafter(base + 0.5, 0.0),
+                               std::nextafter(base - 0.5, 0.0)}) {
+          xs.push_back(x);
+          xs.push_back(-x);
+        }
+      }
+      // Multiples of q up to 2^62, and magnitudes up to 2^70 (llround's path).
+      const double far = std::floor(unit() * (0x1p62 / qd)) * qd;
+      const double big = unit() * 0x1p70;
+      for (const double x : {far, std::nextafter(far, 0.0), big}) {
+        xs.push_back(x);
+        xs.push_back(-x);
+      }
+    }
+    std::vector<u64> want(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) want[i] = rule(xs[i], q);
+    for (SimdLevel lvl : supported_levels()) {
+      ScopedSimdLevel level(lvl);
+      std::vector<u64> got(xs.size(), ~u64{0});
+      fft::round_to_zq(xs, q, got.data());
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << hemath::simd::simd_level_name(lvl) << " q " << q << " x "
+                                   << xs[i];
+      }
+    }
+  }
+
+  // inverse_to_poly over a served product spectrum: one ring element at
+  // every level.
+  const auto params = bfv::BfvParams::create(4096, 20, 49);
+  const bfv::BfvContext ctx(params);
+  const bfv::PolyMulEngine engine(ctx, bfv::PolyMulBackend::kFft);
+  hemath::Poly ct(params.q, params.n);
+  for (std::size_t i = 0; i < params.n; ++i) ct[i] = rng() % params.q;
+  std::vector<i64> wc(params.n, 0);
+  for (int i = 0; i < 72; ++i) wc[rng() % params.n] = static_cast<i64>(rng() % 15) - 7;
+  bfv::SpectralAccumulator acc;
+  engine.multiply_accumulate(engine.transform_cipher_spectrum(ct),
+                             engine.transform_plain(ctx.encode_signed(wc)), acc);
+  hemath::Poly ref;
+  {
+    ScopedSimdLevel level(SimdLevel::kScalar);
+    ref = engine.inverse_to_poly(acc.fft);
+  }
+  for (SimdLevel lvl : supported_levels()) {
+    ScopedSimdLevel level(lvl);
+    EXPECT_EQ(engine.inverse_to_poly(acc.fft).coeffs(), ref.coeffs())
+        << hemath::simd::simd_level_name(lvl);
   }
 }
 
