@@ -431,6 +431,49 @@ void BM_Finalize(benchmark::State& state) {
 }
 BENCHMARK(BM_Finalize)->Arg(4096);
 
+/// One error polynomial: n draws from a Sampler stream mapped through the
+/// context's CDT sampler (CdtGaussianSampler::sample_into) at the active
+/// SIMD level — what encryption spends twice per ciphertext.
+void BM_ErrorPoly(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const bfv::BfvContext ctx(bfv::BfvParams::create(n, 20, 49));
+  hemath::Sampler sampler(11);
+  std::vector<hemath::u64> e(n);
+  for (auto _ : state) {
+    ctx.error_sampler().sample_into(ctx.params().q, e, sampler.rng());
+    benchmark::DoNotOptimize(e.data());
+  }
+}
+BENCHMARK(BM_ErrorPoly)->Arg(4096);
+
+/// The client's encryption at N = 4096, 49-bit q: one lane group of
+/// state.range(1) ciphertexts through bfv::encrypt_batch (1 is
+/// Encryptor::encrypt's batch of one, 8 the AVX-512 group the served round
+/// runs), into outputs that already hold their ring elements. The time is
+/// per group.
+void BM_EncryptBatch(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
+  const bfv::BfvContext ctx(bfv::BfvParams::create(n, 20, 49));
+  hemath::Sampler key_sampler(12);
+  bfv::KeyGenerator keygen(ctx, key_sampler);
+  const bfv::PreparedPublicKey pk =
+      bfv::prepare_public_key(ctx, keygen.public_key(keygen.secret_key()));
+  std::mt19937_64 rng(13);
+  std::vector<hemath::u64> rows(k * n);
+  for (auto& v : rows) v = rng() % ctx.params().t;
+  std::vector<const hemath::u64*> messages(k);
+  for (std::size_t j = 0; j < k; ++j) messages[j] = rows.data() + j * n;
+  std::vector<hemath::Sampler> samplers;
+  for (std::size_t j = 0; j < k; ++j) samplers.emplace_back(100 + j);
+  std::vector<bfv::Ciphertext> out(k);
+  for (auto _ : state) {
+    bfv::encrypt_batch(ctx, pk, messages, samplers, out);
+    benchmark::DoNotOptimize(out[0].c0.coeffs().data());
+  }
+}
+BENCHMARK(BM_EncryptBatch)->Args({4096, 1})->Args({4096, 8});
+
 // Self-gate for --backend pow2: at equal 49-bit width, the mask-reduce
 // pointwise mulmod must beat the Barrett chain (one u64 mul + AND vs the
 // multiply-high reduction). Exits non-zero on violation so the CI perf job
@@ -472,15 +515,16 @@ bool pow2_beats_barrett_at_equal_width() {
 }  // namespace
 
 // --batch restricts the run to the batched-transform benchmarks, the served
-// block MAC and finalize — the record set the committed BENCH_batch_pr7.json,
-// BENCH_live_pr21.json and BENCH_mac_pr23.json baselines gate in CI. Sugar
-// for --benchmark_filter=Batch|SpectralMacBlock|Finalize that survives
-// baseline re-records verbatim.
+// block MAC and finalize, the error sampler and batched encryption — the
+// record set the committed BENCH_batch_pr7.json, BENCH_live_pr21.json,
+// BENCH_mac_pr23.json and BENCH_encrypt_pr24.json baselines gate in CI.
+// Sugar for --benchmark_filter=Batch|SpectralMacBlock|Finalize|ErrorPoly
+// that survives baseline re-records verbatim.
 // --backend pow2 likewise restricts to the Z_{2^k} benchmarks (the
 // BENCH_pow2_pr10.json record set) and additionally runs the
 // pow2-beats-Barrett self-gate before the measured run.
 int main(int argc, char** argv) {
-  static char filter_arg[] = "--benchmark_filter=Batch|SpectralMacBlock|Finalize";
+  static char filter_arg[] = "--benchmark_filter=Batch|SpectralMacBlock|Finalize|ErrorPoly";
   static char pow2_filter_arg[] = "--benchmark_filter=Pow2";
   std::vector<char*> args;
   bool batch_only = false;

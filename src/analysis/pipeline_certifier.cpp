@@ -26,8 +26,9 @@ using hemath::i64;
 // magnitude below the share-wrap terms it rides with.
 constexpr double kFpRelEps = 1.0 / 70368744177664.0;  // 2^-46
 
-// Worst-case cut of the rounded-Gaussian error tail (per-draw probability
-// ~2^-66 at sigma = 3.2): the deterministic ledger treats |e| <= 10 sigma.
+// Worst-case cut of the error tail: the deterministic ledger treats
+// |e| <= 10 sigma. The context's CDT sampler cuts its table at ceil(9 sigma),
+// so no drawn error exceeds it.
 constexpr double kWorstCaseSigmas = 10.0;
 
 double log2_safe(double v) { return v > 0 ? std::log2(v) : -1e9; }

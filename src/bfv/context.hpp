@@ -49,6 +49,10 @@ class BfvContext {
     return *ntt_;
   }
   const fft::NegacyclicFft& fft() const { return *fft_; }
+  /// The one error sampler: the discrete Gaussian at params().error_sigma
+  /// that key generation and encryption draw from, each through the
+  /// caller's Sampler stream.
+  const hemath::CdtGaussianSampler& error_sampler() const { return error_sampler_; }
 
   Plaintext make_plaintext() const { return {Poly(params_.t, params_.n)}; }
   Ciphertext make_ciphertext() const { return {Poly(params_.q, params_.n), Poly(params_.q, params_.n)}; }
@@ -57,6 +61,11 @@ class BfvContext {
   /// pt. Each coefficient's centered lift mod t is multiplied by Delta
   /// through Delta's precomputed Shoup companion (no division; q < 2^63).
   Poly scaled_message(const Plaintext& pt) const;
+  /// One coefficient of it: Delta times the centered lift of m in [0, t).
+  u64 scaled_coeff(u64 m) const {
+    const u64 lifted = hemath::from_signed(hemath::to_signed(m, params_.t), params_.q);
+    return hemath::shoup_mul(lifted, delta_, delta_shoup_, params_.q);
+  }
 
   /// Encode a vector of signed cleartext values into plaintext coefficients
   /// (centered lift mod t). Values must fit in (-t/2, t/2].
@@ -67,7 +76,9 @@ class BfvContext {
 
  private:
   BfvParams params_;
-  u64 delta_shoup_ = 0;  // Shoup companion of params_.delta()
+  u64 delta_ = 0;        // params_.delta()
+  u64 delta_shoup_ = 0;  // its Shoup companion
+  hemath::CdtGaussianSampler error_sampler_;
   // Shared process-wide (fft::transform_cache): contexts on the same (q, N)
   // reuse one set of immutable tables instead of recomputing them.
   std::shared_ptr<const hemath::NttTables> ntt_;

@@ -57,7 +57,7 @@ SecretKey KeyGenerator::secret_key() {
 PublicKey KeyGenerator::public_key(const SecretKey& sk) {
   const auto& p = ctx_.params();
   Poly a = sampler_.uniform_poly(p.q, p.n);
-  Poly e = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
+  Poly e = ctx_.error_sampler().sample_poly(p.q, p.n, sampler_.rng());
   Poly p0 = multiply(ctx_.ntt(), a, sk.s);
   p0.negate_inplace();
   p0.sub_inplace(e);
@@ -73,26 +73,61 @@ PreparedPublicKey prepare_public_key(const BfvContext& ctx, const PublicKey& pk)
   return out;
 }
 
+void encrypt_batch(const BfvContext& ctx, const PreparedPublicKey& pk,
+                   std::span<const u64* const> messages, std::span<hemath::Sampler> samplers,
+                   std::span<Ciphertext> out) {
+  const auto& p = ctx.params();
+  const auto& ntt = ctx.ntt();
+  const std::size_t k = messages.size();
+  if (samplers.size() != k || out.size() != k) {
+    throw std::invalid_argument("encrypt_batch: messages, samplers and outputs differ in count");
+  }
+  core::ScratchFrame frame(core::thread_scratch());
+  // Row j of u and rows 2j, 2j + 1 of e hold ciphertext j's draws.
+  std::span<u64> u = frame.alloc<u64>(k * p.n);
+  std::span<u64> e = frame.alloc<u64>(2 * k * p.n);
+  std::span<u64*> u_rows = frame.alloc<u64*>(k);
+  std::span<u64*> prods = frame.alloc<u64*>(2 * k);
+  for (std::size_t j = 0; j < k; ++j) {
+    u_rows[j] = u.data() + j * p.n;
+    samplers[j].ternary_into(p.q, u.subspan(j * p.n, p.n));
+    ctx.error_sampler().sample_into(p.q, e.subspan(2 * j * p.n, p.n), samplers[j].rng());
+    ctx.error_sampler().sample_into(p.q, e.subspan((2 * j + 1) * p.n, p.n), samplers[j].rng());
+  }
+  ntt.forward_batch_into(u_rows, &frame.arena());
+  for (std::size_t j = 0; j < k; ++j) {
+    for (Poly* c : {&out[j].c0, &out[j].c1}) {
+      if (c->modulus() != p.q || c->degree() != p.n) *c = Poly(p.q, p.n);
+    }
+    const std::span<const u64> u_hat(u_rows[j], p.n);
+    ntt.pointwise(std::span<const u64>(pk.p0_ntt), u_hat, std::span<u64>(out[j].c0.coeffs()));
+    ntt.pointwise(std::span<const u64>(pk.p1_ntt), u_hat, std::span<u64>(out[j].c1.coeffs()));
+    prods[2 * j] = out[j].c0.coeffs().data();
+    prods[2 * j + 1] = out[j].c1.coeffs().data();
+  }
+  ntt.inverse_batch_into(prods, &frame.arena());
+  for (std::size_t j = 0; j < k; ++j) {
+    u64* c0 = prods[2 * j];
+    u64* c1 = prods[2 * j + 1];
+    const u64* e1 = e.data() + 2 * j * p.n;
+    const u64* e2 = e1 + p.n;
+    const u64* m = messages[j];
+    for (std::size_t i = 0; i < p.n; ++i) {
+      c0[i] = hemath::add_mod(hemath::add_mod(c0[i], e1[i], p.q), ctx.scaled_coeff(m[i]), p.q);
+      c1[i] = hemath::add_mod(c1[i], e2[i], p.q);
+    }
+  }
+}
+
 Ciphertext Encryptor::encrypt(const Plaintext& pt, const PreparedPublicKey& pk) {
-  const auto& p = ctx_.params();
-  Poly u = sampler_.ternary_poly(p.q, p.n);
-  Poly e1 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  Poly e2 = sampler_.gaussian_poly(p.q, p.n, p.error_sigma);
-  // One forward of u shared by both key components.
-  std::vector<u64> u_hat = u.coeffs();
-  const auto& ntt = ctx_.ntt();
-  ntt.forward(u_hat);
-  std::vector<u64> c0v(p.n), c1v(p.n);
-  ntt.pointwise(std::span<const u64>(pk.p0_ntt), std::span<const u64>(u_hat), std::span<u64>(c0v));
-  ntt.pointwise(std::span<const u64>(pk.p1_ntt), std::span<const u64>(u_hat), std::span<u64>(c1v));
-  u64* prods[] = {c0v.data(), c1v.data()};
-  ntt.inverse_batch_into(prods);
-  Poly c0(p.q, std::move(c0v));
-  c0.add_inplace(e1);
-  c0.add_inplace(ctx_.scaled_message(pt));
-  Poly c1(p.q, std::move(c1v));
-  c1.add_inplace(e2);
-  return {std::move(c0), std::move(c1)};
+  if (pt.poly.degree() != ctx_.params().n) {
+    throw std::invalid_argument("Encryptor: plaintext degree mismatch");
+  }
+  Ciphertext ct;
+  const u64* message = pt.poly.coeffs().data();
+  encrypt_batch(ctx_, pk, std::span<const u64* const>(&message, 1),
+                std::span<hemath::Sampler>(&sampler_, 1), std::span<Ciphertext>(&ct, 1));
+  return ct;
 }
 
 Decryptor::Decryptor(const BfvContext& ctx, SecretKey sk) : ctx_(ctx), sk_(std::move(sk)) {

@@ -15,6 +15,9 @@ void BfvParams::validate() const {
   if (n < 8 || (n & (n - 1)) != 0) throw std::invalid_argument("BfvParams: n must be a power of two >= 8");
   if (t < 2) throw std::invalid_argument("BfvParams: t must be >= 2");
   if (q <= t * 2) throw std::invalid_argument("BfvParams: q must exceed 2t");
+  if (!(error_sigma > 0.0 && error_sigma <= kMaxErrorSigma)) {
+    throw std::invalid_argument("BfvParams: error_sigma must be in (0, 64]");
+  }
   if (q_is_pow2()) {
     // Z_{2^k} ring: reduction is a mask, so the NTT-prime congruence and
     // primality requirements do not apply. add_mod/sub_mod still assume

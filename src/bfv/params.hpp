@@ -16,12 +16,17 @@ namespace flash::bfv {
 using hemath::i64;
 using hemath::u64;
 
+/// Largest error sigma validate() admits. The context tabulates the error
+/// distribution out to nine sigma, so the bound keeps a hostile parameter
+/// frame from sizing that table; RLWE sets use sigma near 3.2.
+inline constexpr double kMaxErrorSigma = 64.0;
+
 struct BfvParams {
   std::size_t n = 4096;       // ring degree, power of two
   u64 t = u64{1} << 20;       // plaintext modulus (power of two is fine for BFV)
   u64 q = 0;                  // ciphertext modulus: NTT prime q = 1 mod 2N,
                               // or 2^k for the mask-reduce kPow2 backend
-  double error_sigma = 3.2;   // RLWE error standard deviation
+  double error_sigma = 3.2;   // RLWE error standard deviation, in (0, kMaxErrorSigma]
 
   u64 delta() const { return q / t; }
   /// log2 of the decryption noise ceiling q/(2t).

@@ -34,23 +34,35 @@ ConvEncoder::ConvEncoder(std::size_t n, std::size_t c, std::size_t h, std::size_
   }
 }
 
-std::vector<i64> ConvEncoder::encode_activation(const tensor::Tensor3& x, std::size_t tile) const {
+template <typename Put>
+void ConvEncoder::place_activation(const tensor::Tensor3& x, std::size_t tile, Put put) const {
   if (x.channels() != geo_.c || x.height() != geo_.h || x.width() != geo_.w) {
     throw std::invalid_argument("encode_activation: tensor shape mismatch");
   }
   const std::size_t cpp = geo_.channels_per_poly();
   if (tile >= geo_.channel_tiles()) throw std::out_of_range("encode_activation: tile out of range");
-  std::vector<i64> poly(geo_.n, 0);
   const std::size_t c0 = tile * cpp;
   for (std::size_t c = c0; c < c0 + cpp && c < geo_.c; ++c) {
     const std::size_t local = c - c0;
     for (std::size_t i = 0; i < geo_.h; ++i) {
       for (std::size_t j = 0; j < geo_.w; ++j) {
-        poly[local * geo_.h * geo_.w + i * geo_.w + j] = x.at(c, i, j);
+        put(local * geo_.h * geo_.w + i * geo_.w + j, x.at(c, i, j));
       }
     }
   }
+}
+
+std::vector<i64> ConvEncoder::encode_activation(const tensor::Tensor3& x, std::size_t tile) const {
+  std::vector<i64> poly(geo_.n, 0);
+  place_activation(x, tile, [&](std::size_t at, i64 v) { poly[at] = v; });
   return poly;
+}
+
+void ConvEncoder::encode_activation_into(const tensor::Tensor3& x, std::size_t tile,
+                                         std::uint64_t t, std::span<std::uint64_t> out) const {
+  if (out.size() != geo_.n) throw std::invalid_argument("encode_activation_into: size mismatch");
+  std::fill(out.begin(), out.end(), 0);
+  place_activation(x, tile, [&](std::size_t at, i64 v) { out[at] = hemath::from_signed(v, t); });
 }
 
 template <typename Put>

@@ -64,6 +64,11 @@ class ConvEncoder {
 
   /// Encode the activation channels of tile `tile` into N coefficients.
   std::vector<i64> encode_activation(const tensor::Tensor3& x, std::size_t tile) const;
+  /// The same polynomial written into `out` (n values, zeros included) as a
+  /// plaintext mod t: each value's residue mod t. Values in (-t, t) take no
+  /// division, and protocol shares already lie in [0, t).
+  void encode_activation_into(const tensor::Tensor3& x, std::size_t tile, std::uint64_t t,
+                              std::span<std::uint64_t> out) const;
 
   /// Encode the weights of output channel m restricted to channel tile `tile`.
   std::vector<i64> encode_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile) const;
@@ -91,6 +96,9 @@ class ConvEncoder {
   template <typename Put>
   void place_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile,
                     Put put) const;
+  /// Calls put(coefficient, value) for every activation of `tile`.
+  template <typename Put>
+  void place_activation(const tensor::Tensor3& x, std::size_t tile, Put put) const;
 
   ConvGeometry geo_;
 };

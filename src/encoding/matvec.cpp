@@ -25,6 +25,14 @@ std::vector<i64> MatVecEncoder::encode_vector(const std::vector<i64>& x) const {
   return poly;
 }
 
+void MatVecEncoder::encode_vector_into(const std::vector<i64>& x, std::uint64_t t,
+                                       std::span<std::uint64_t> out) const {
+  if (x.size() != in_features_) throw std::invalid_argument("encode_vector: size mismatch");
+  if (out.size() != n_) throw std::invalid_argument("encode_vector_into: size mismatch");
+  std::fill(out.begin(), out.end(), 0);
+  for (std::size_t i = 0; i < in_features_; ++i) out[i] = hemath::from_signed(x[i], t);
+}
+
 template <typename Put>
 void MatVecEncoder::place_matrix(const std::vector<i64>& w_row_major, std::size_t chunk,
                                  Put put) const {

@@ -33,6 +33,10 @@ class MatVecEncoder {
 
   /// The input vector, one polynomial (shared by every matrix chunk).
   std::vector<i64> encode_vector(const std::vector<i64>& x) const;
+  /// The same polynomial written into `out` (n values) as a plaintext mod t
+  /// (see ConvEncoder::encode_activation_into).
+  void encode_vector_into(const std::vector<i64>& x, std::uint64_t t,
+                          std::span<std::uint64_t> out) const;
 
   /// Rows [chunk*rows_per_poly, ...) of the row-major matrix.
   std::vector<i64> encode_matrix(const std::vector<i64>& w_row_major, std::size_t chunk) const;

@@ -512,9 +512,9 @@ void FxpFft::forward_into(std::span<const cplx> in, std::span<cplx> out, FxpFftS
 
 namespace {
 
-/// Lane-group width for the batched narrow path at the active SIMD level,
-/// following the same dispatch matrix as hemath/simd_batch: a remainder of
-/// 2..4 at the AVX-512 level drops to the 4-lane kernel.
+/// Lane-group width for the batched narrow path at the active SIMD level
+/// (ARCHITECTURE.md §11's dispatch matrix): a remainder of 2..4 at the
+/// AVX-512 level drops to the 4-lane kernel.
 std::size_t fxp_group_width(std::size_t remaining) {
   using hemath::simd::SimdLevel;
   if (hemath::simd::level_at_least(SimdLevel::kAvx512) && remaining > 4) return 8;

@@ -1,6 +1,9 @@
 #include "hemath/sampler.hpp"
 
 #include <cmath>
+#include <stdexcept>
+
+#include "hemath/simd.hpp"
 
 namespace flash::hemath {
 
@@ -17,18 +20,23 @@ Poly Sampler::uniform_poly(u64 q, std::size_t n) {
 
 Poly Sampler::ternary_poly(u64 q, std::size_t n) {
   Poly p(q, n);
-  std::uniform_int_distribution<int> dist(-1, 1);
-  for (std::size_t i = 0; i < n; ++i) p[i] = from_signed(dist(rng_), q);
+  ternary_into(q, p.coeffs());
   return p;
 }
 
-Poly Sampler::gaussian_poly(u64 q, std::size_t n, double sigma) {
-  Poly p(q, n);
-  std::normal_distribution<double> dist(0.0, sigma);
-  for (std::size_t i = 0; i < n; ++i) {
-    p[i] = from_signed(static_cast<i64>(std::llround(dist(rng_))), q);
+void Sampler::ternary_into(u64 q, std::span<u64> out) {
+  // Chunk c -> c - 1 mod q; a rejected 3 is written and then overwritten,
+  // because the index only advances on an accepted chunk.
+  const u64 lift[4] = {q - 1, 0, 1, 0};
+  std::size_t i = 0;
+  while (i < out.size()) {
+    u64 bits = rng_();
+    for (int chunk = 0; chunk < 32 && i < out.size(); ++chunk, bits >>= 2) {
+      const u64 c = bits & 3;
+      out[i] = lift[c];
+      i += c != 3 ? 1 : 0;
+    }
   }
-  return p;
 }
 
 CdtGaussianSampler::CdtGaussianSampler(double sigma, double tail_cut) : sigma_(sigma) {
@@ -53,12 +61,12 @@ CdtGaussianSampler::CdtGaussianSampler(double sigma, double tail_cut) : sigma_(s
     cdt_[k] = static_cast<u64>(acc / total * 9223372036854775808.0 /* 2^63 */);
   }
   cdt_.back() = u64{1} << 63;  // guard against rounding shortfall
+  while (live_ < cdt_.size() && cdt_[live_] < (u64{1} << 63)) ++live_;
 }
 
-i64 CdtGaussianSampler::sample(std::mt19937_64& rng) const {
-  const u64 bits = rng();
-  const u64 u = bits >> 1;              // 63 uniform bits
-  const bool negative = (bits & 1) != 0;  // sign bit
+i64 CdtGaussianSampler::sample(u64 word) const {
+  const u64 u = word >> 1;                // 63 uniform bits
+  const bool negative = (word & 1) != 0;  // sign bit
   std::size_t lo = 0, hi = cdt_.size() - 1;
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
@@ -72,9 +80,26 @@ i64 CdtGaussianSampler::sample(std::mt19937_64& rng) const {
   return negative ? -magnitude : magnitude;
 }
 
+void CdtGaussianSampler::map_words(u64 q, std::span<u64> words) const {
+  if (simd::level_at_least(simd::SimdLevel::kAvx512)) {
+    detail::cdt_map_avx512(cdt_.data(), live_, q, words.data(), words.size());
+    return;
+  }
+  if (simd::level_at_least(simd::SimdLevel::kAvx2)) {
+    detail::cdt_map_avx2(cdt_.data(), live_, q, words.data(), words.size());
+    return;
+  }
+  for (u64& w : words) w = detail::cdt_map_word(cdt_.data(), live_, q, w);
+}
+
+void CdtGaussianSampler::sample_into(u64 q, std::span<u64> out, std::mt19937_64& rng) const {
+  for (u64& w : out) w = rng();
+  map_words(q, out);
+}
+
 Poly CdtGaussianSampler::sample_poly(u64 q, std::size_t n, std::mt19937_64& rng) const {
   Poly p(q, n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = from_signed(sample(rng), q);
+  sample_into(q, p.coeffs(), rng);
   return p;
 }
 

@@ -142,13 +142,14 @@ void ntt_batch(std::span<u64* const> polys, std::size_t n, const NttStageTables&
   std::size_t done = 0;
   while (done < polys.size()) {
     const std::size_t remaining = polys.size() - done;
-    if (remaining == 1 || max_g == 1) {
+    if (remaining <= 2 || max_g == 1) {
       // Single lane: run the scalar kernel in place — no pack/unpack copy.
+      // Two singles beat a half-empty 4-lane group (ARCHITECTURE.md §11).
       run_soa(polys[done], n, 1, tb, dir);
       ++done;
       continue;
     }
-    // Remainder of 2..kAvx2Lanes at the AVX-512 level drops to the 4-lane
+    // Remainder of 3..kAvx2Lanes at the AVX-512 level drops to the 4-lane
     // kernel; anything else zero-pads up to the group width.
     const std::size_t g = (max_g == kAvx512Lanes && remaining <= kAvx2Lanes) ? kAvx2Lanes : max_g;
     const std::size_t count = std::min(remaining, g);

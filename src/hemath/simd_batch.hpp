@@ -20,11 +20,12 @@
 // q >= 2^61, outside the lazy kernels' headroom.
 //
 // Lane-group dispatch (documented in ARCHITECTURE.md §11):
-//   * kAvx512 → groups of 8 lanes; a remainder of 2..4 drops to the 4-lane
+//   * kAvx512 → groups of 8 lanes; a remainder of 3..4 drops to the 4-lane
 //     AVX2 kernel, a remainder of 5..7 runs a zero-padded 8-lane group;
-//   * kAvx2   → groups of 4 lanes, remainder of 2..3 zero-padded;
-//   * a remainder of exactly 1 (or kScalar) runs the scalar kernel with
-//     G = 1 in place — no pack/unpack copy at all.
+//   * kAvx2   → groups of 4 lanes, a remainder of 3 zero-padded;
+//   * a remainder of 1 or 2 (or kScalar) runs the scalar kernel with G = 1
+//     in place, one polynomial at a time — no pack/unpack copy at all. Two
+//     singles cost no more than a half-empty 4-lane group (measured).
 // Zero padding is safe: a zero lane stays ≡ 0 (mod q) through every lazy
 // stage and the final reduction makes it canonical 0; padded lanes are
 // never unpacked.

@@ -89,9 +89,8 @@ class ConvRunner {
                                           std::size_t pad) const;
 
   /// Run against a prepared plan. x must have the plan's shape
-  /// (std::invalid_argument otherwise). Within each HConv unit, decryption
-  /// runs the batched SoA NTT over groups of output ciphertexts and
-  /// encryption's inverse pair is one batched call.
+  /// (std::invalid_argument otherwise). Within each HConv unit, encryption
+  /// and decryption run the batched SoA NTT over lane groups of ciphertexts.
   ConvRunnerResult run(const tensor::Tensor3& x, const ConvPlan& plan,
                        std::uint64_t stream_base = 0);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <new>
 #include <stdexcept>
 
 #include "core/scratch.hpp"
@@ -177,9 +178,15 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   // the same positions.
   const std::vector<std::size_t> positions = enc.output_positions();
   run_round(
-      geo.channel_tiles(), [&](std::size_t tile) { return enc.encode_activation(x_client, tile); },
-      [&](std::size_t tile) { return enc.encode_activation(x_server, tile); }, cached->spec,
-      [&](std::size_t) { return std::span<const std::size_t>(positions); }, run_seed, result);
+      geo.channel_tiles(),
+      [&](std::size_t tile, std::span<u64> row) {
+        enc.encode_activation_into(x_client, tile, p.t, row);
+      },
+      [&](std::size_t tile, std::span<u64> row) {
+        enc.encode_activation_into(x_server, tile, p.t, row);
+      },
+      cached->spec, [&](std::size_t) { return std::span<const std::size_t>(positions); },
+      run_seed, result);
 
   result.ops = evaluator_.engine().counters() - ops_before;
   return result;
@@ -192,22 +199,33 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
                               HConvResult& result) const {
   const auto& p = ctx_.params();
   const std::size_t outputs = spec.size();
-  const auto to_plaintext = [&](const std::vector<i64>& coeffs) {
-    bfv::Plaintext pt = ctx_.make_plaintext();
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = static_cast<u64>(coeffs[i]) % p.t;
-    return pt;
-  };
+  const std::size_t threads = pool_ != nullptr ? pool_->thread_count() : 1;
+  const std::size_t lanes = hemath::simd_batch::active_group_lanes();
 
   // --- Client: encrypt its encoded share, one ciphertext per polynomial.
-  // Each polynomial encrypts under its own derived sampler, so the
-  // ciphertext it produces is the same whether the loop runs serial or
-  // parallel.
+  // Each pool task encrypts one lane group (bfv::encrypt_batch): its
+  // polynomials are encoded straight into the group's message rows in the
+  // task's scratch arena, and each encrypts under its own derived sampler,
+  // so the ciphertexts are the same whatever the grouping or scheduling.
+  // The group narrows when there are fewer than a group per thread, so no
+  // thread goes without a task (the rule kMacBlock follows).
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<bfv::Ciphertext> cts(polys, ctx_.make_ciphertext());
-  core::for_range(pool_, polys, [&](std::size_t i) {
-    hemath::Sampler sampler(substream(run_seed, kStreamEncrypt, i));
-    bfv::Encryptor encryptor(ctx_, sampler);
-    cts[i] = encryptor.encrypt(to_plaintext(client_poly(i)), pk_prepared_);
+  const std::size_t group = std::clamp<std::size_t>(polys / threads, 1, lanes);
+  std::vector<bfv::Ciphertext> cts(polys);
+  core::for_range(pool_, (polys + group - 1) / group, [&](std::size_t g) {
+    const std::size_t first = g * group;
+    const std::size_t count = std::min(group, polys - first);
+    core::ScratchFrame frame(core::thread_scratch());
+    std::span<u64> rows = frame.alloc<u64>(count * p.n);
+    std::span<const u64*> messages = frame.alloc<const u64*>(count);
+    std::span<hemath::Sampler> samplers = frame.alloc<hemath::Sampler>(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      client_poly(first + j, rows.subspan(j * p.n, p.n));
+      messages[j] = rows.data() + j * p.n;
+      new (&samplers[j]) hemath::Sampler(substream(run_seed, kStreamEncrypt, g * group + j));
+    }
+    bfv::encrypt_batch(ctx_, pk_prepared_, messages, samplers,
+                       std::span<bfv::Ciphertext>(cts).subspan(first, count));
   });
   result.profile.bytes_client_to_server += polys * ciphertext_bytes(p);
   result.profile.encrypt_s += seconds_since(t0);
@@ -215,7 +233,9 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
   // --- Server: fold in its own share (ct ⊞ {x}^S).
   t0 = std::chrono::steady_clock::now();
   core::for_range(pool_, polys, [&](std::size_t i) {
-    evaluator_.add_plain_inplace(cts[i], to_plaintext(server_poly(i)));
+    bfv::Plaintext share = ctx_.make_plaintext();
+    server_poly(i, share.poly.coeffs());
+    evaluator_.add_plain_inplace(cts[i], share);
   });
   result.profile.share_encode_s += seconds_since(t0);
 
@@ -232,7 +252,6 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
   std::vector<bfv::Evaluator::CiphertextSpectrum> ct_specs(polys);
   core::for_range(pool_, polys,
                   [&](std::size_t i) { ct_specs[i] = evaluator_.transform_ciphertext(cts[i]); });
-  const std::size_t threads = pool_ != nullptr ? pool_->thread_count() : 1;
   const std::size_t block = std::clamp<std::size_t>(outputs / threads, 1, kMacBlock);
   std::vector<bfv::Ciphertext> acc(outputs);
   core::for_range(pool_, (outputs + block - 1) / block, [&](std::size_t task) {
@@ -272,11 +291,10 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
   // shares. Every ciphertext decrypts independently, so the shares are
   // bit-identical to a serial loop.
   t0 = std::chrono::steady_clock::now();
-  const std::size_t group = hemath::simd_batch::active_group_lanes();
   result.client_share.resize(outputs);
-  core::for_range(pool_, (outputs + group - 1) / group, [&](std::size_t g) {
-    const std::size_t first = g * group;
-    const std::size_t count = std::min(group, outputs - first);
+  core::for_range(pool_, (outputs + lanes - 1) / lanes, [&](std::size_t g) {
+    const std::size_t first = g * lanes;
+    const std::size_t count = std::min(lanes, outputs - first);
     const std::vector<bfv::Plaintext> decs =
         decryptor_.decrypt_batch(std::span<const bfv::Ciphertext>(acc).subspan(first, count));
     for (std::size_t k = 0; k < count; ++k) {
@@ -325,8 +343,8 @@ HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
 
   // The vector fits one polynomial by MatVecEncoder's constructor contract.
   run_round(
-      1, [&](std::size_t) { return enc.encode_vector(x_client); },
-      [&](std::size_t) { return enc.encode_vector(x_server); }, spec,
+      1, [&](std::size_t, std::span<u64> row) { enc.encode_vector_into(x_client, p.t, row); },
+      [&](std::size_t, std::span<u64> row) { enc.encode_vector_into(x_server, p.t, row); }, spec,
       [&](std::size_t chunk) { return std::span<const std::size_t>(positions[chunk]); }, run_seed,
       round);
 

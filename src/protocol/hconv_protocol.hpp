@@ -146,8 +146,9 @@ class HConvProtocol {
   const bfv::BfvContext& context() const { return ctx_; }
 
  private:
-  /// Coefficients of activation polynomial i, for one party's share.
-  using EncodeFn = std::function<std::vector<i64>(std::size_t)>;
+  /// Writes activation polynomial i of one party's share into its n
+  /// coefficients, as a plaintext mod t (shares lie in [0, t)).
+  using EncodeFn = std::function<void(std::size_t, std::span<u64>)>;
   /// Writes weight polynomial i into its n-double row: each coefficient's
   /// signed representative mod t (ConvEncoder::encode_weight_into).
   using WeightRowFn = std::function<void(std::size_t, std::span<double>)>;
@@ -165,8 +166,9 @@ class HConvProtocol {
       const fft::ButterflySchedule* live = nullptr) const;
 
   /// The round both conv and FC layers run (Fig. 1 with Fig. 4(b)'s
-  /// dataflow): the client encrypts its `polys` activation polynomials, the
-  /// server folds in its share, transforms each ciphertext once,
+  /// dataflow): the client encrypts its `polys` activation polynomials in
+  /// lane groups (bfv::encrypt_batch), the server folds in its share,
+  /// transforms each ciphertext once,
   /// accumulates spec[m][i] over i for each output m, inverse-transforms
   /// and masks it; the client decrypts in SoA groups and both parties
   /// extract their shares at positions(m). Fills result's shares and byte

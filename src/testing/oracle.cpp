@@ -7,6 +7,7 @@
 
 #include "analysis/fxp_analyzer.hpp"
 #include "bfv/context.hpp"
+#include "bfv/encrypt.hpp"
 #include "bfv/polymul_engine.hpp"
 #include "core/flash_accelerator.hpp"
 #include "core/scratch.hpp"
@@ -110,6 +111,52 @@ OracleReport mac_block_vs_single(const bfv::BfvContext& ctx, const bfv::PolyMulE
     return fail("mac-block-vs-single", "block counted " + std::to_string(block_products) +
                                            " pointwise products, singles " +
                                            std::to_string(single_products));
+  }
+  return OracleReport{};
+}
+
+/// The encrypt-batch-vs-single arm: 1..9 messages derived from `w`,
+/// encrypted as one lane group (bfv::encrypt_batch) and one at a time
+/// (Encryptor::encrypt) under the same derived streams: every ciphertext
+/// must agree bit for bit and decrypt to its message.
+OracleReport encrypt_batch_vs_single(const bfv::BfvContext& ctx, const std::vector<i64>& w,
+                                     std::uint64_t seed) {
+  const auto& p = ctx.params();
+  hemath::Sampler key_stream(hemath::derive_stream_seed(seed, 0));
+  bfv::KeyGenerator keygen(ctx, key_stream);
+  const bfv::SecretKey sk = keygen.secret_key();
+  const bfv::PreparedPublicKey pk = bfv::prepare_public_key(ctx, keygen.public_key(sk));
+  const bfv::Decryptor dec(ctx, sk);
+  const std::size_t k = 1 + seed % 9;
+  std::vector<bfv::Plaintext> pts(k, ctx.make_plaintext());
+  std::vector<const u64*> messages(k);
+  std::vector<hemath::Sampler> streams;
+  for (std::size_t j = 0; j < k; ++j) {
+    const i64 sign = j % 2 == 0 ? 1 : -1;
+    for (std::size_t i = 0; i < p.n; ++i) {
+      pts[j].poly[i] = from_signed(sign * w[(i + j) % p.n] + static_cast<i64>(j), p.t);
+    }
+    messages[j] = pts[j].poly.coeffs().data();
+    streams.emplace_back(hemath::derive_stream_seed(seed, j + 1));
+  }
+  std::vector<bfv::Ciphertext> batch(k);
+  bfv::encrypt_batch(ctx, pk, messages, streams, batch);
+  for (std::size_t j = 0; j < k; ++j) {
+    hemath::Sampler stream(hemath::derive_stream_seed(seed, j + 1));
+    const bfv::Ciphertext single = bfv::Encryptor(ctx, stream).encrypt(pts[j], pk);
+    if (batch[j].c0 != single.c0 || batch[j].c1 != single.c1) {
+      return fail("encrypt-batch-vs-single", "ciphertext " + std::to_string(j) + " of " +
+                                                 std::to_string(k) +
+                                                 " differs from its single encryption");
+    }
+    const bfv::Plaintext got = dec.decrypt(batch[j]);
+    for (std::size_t i = 0; i < p.n; ++i) {
+      if (got.poly[i] != pts[j].poly[i]) {
+        return fail("encrypt-batch-vs-single", "ciphertext " + std::to_string(j) +
+                                                   " decrypts wrong: " +
+                                                   coeff_mismatch(i, got.poly[i], pts[j].poly[i]));
+      }
+    }
   }
   return OracleReport{};
 }
@@ -358,6 +405,13 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
       const OracleReport r = mac_block_vs_single(ctx, *engine, c.ct, c.w);
       if (!r.ok) return r;
     }
+  }
+
+  // --- 3c. A lane group of encryptions equals single encryptions under the
+  //         same streams, and each decrypts exactly. ---
+  {
+    const OracleReport r = encrypt_batch_vs_single(ctx, c.w, c.spec.seed);
+    if (!r.ok) return r;
   }
 
   // Shared FP-side ingredients for the sparse and approximate checks.

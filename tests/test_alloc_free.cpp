@@ -311,6 +311,33 @@ TEST(AllocFree, BlockMacAndFinalizeAllocateOnlyTheOutputPolys) {
   }
 }
 
+TEST(AllocFree, EncryptBatchAllocatesOnlyTheOutputPolys) {
+  // A lane group's u's, errors, transform scratch and product pointers come
+  // from the scratch arena: after a warm-up group, encrypting into fresh
+  // ciphertexts allocates their c0 and c1 and nothing else, and encrypting
+  // into ciphertexts that already hold ring elements allocates nothing.
+  const auto params = bfv::BfvParams::create(1024, 16, 40);
+  const bfv::BfvContext ctx(params);
+  hemath::Sampler sampler(2401);
+  bfv::KeyGenerator keygen(ctx, sampler);
+  const bfv::PreparedPublicKey pk =
+      bfv::prepare_public_key(ctx, keygen.public_key(keygen.secret_key()));
+  constexpr std::size_t kGroup = 8;
+  std::vector<u64> rows(kGroup * params.n, 5);
+  std::vector<const u64*> messages(kGroup);
+  for (std::size_t j = 0; j < kGroup; ++j) messages[j] = rows.data() + j * params.n;
+  std::vector<hemath::Sampler> samplers(kGroup, hemath::Sampler(24));
+  std::vector<bfv::Ciphertext> out(kGroup);
+  bfv::encrypt_batch(ctx, pk, messages, samplers, out);  // warm-up sizes the arena
+  std::vector<bfv::Ciphertext> fresh(kGroup);
+  const std::uint64_t before = allocs();
+  bfv::encrypt_batch(ctx, pk, messages, samplers, fresh);
+  EXPECT_EQ(allocs() - before, 2 * kGroup);
+  const std::uint64_t reused = allocs();
+  bfv::encrypt_batch(ctx, pk, messages, samplers, out);
+  EXPECT_EQ(allocs() - reused, 0u);
+}
+
 TEST(AllocFree, SparseExecuteInto) {
   const std::size_t m = 1024;
   std::vector<std::size_t> pos;

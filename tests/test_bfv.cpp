@@ -9,6 +9,7 @@
 #include "bfv/evaluator.hpp"
 #include "core/flash_accelerator.hpp"
 #include "hemath/primes.hpp"
+#include "hemath/simd.hpp"
 
 namespace flash::bfv {
 namespace {
@@ -86,6 +87,48 @@ TEST(Bfv, PublicKeyEncryptDecrypt) {
   const Plaintext pt = f.ctx.encode_signed(vals);
   const Ciphertext ct = f.enc.encrypt(pt, f.ppk);
   EXPECT_EQ(f.ctx.decode_signed(f.dec.decrypt(ct)), vals);
+}
+
+TEST(Bfv, EncryptBatchEqualsSingles) {
+  // With the same streams, a batch of k = 1..9 equals a loop of single
+  // encryptions bit for bit at every SIMD level (singles taken at the
+  // scalar level), and every ciphertext decrypts exactly.
+  Fixture f;
+  const auto& p = f.ctx.params();
+  std::mt19937_64 rng(24);
+  std::vector<hemath::simd::SimdLevel> levels = {hemath::simd::SimdLevel::kScalar};
+  if (hemath::simd::cpu_has_avx2()) levels.push_back(hemath::simd::SimdLevel::kAvx2);
+  if (hemath::simd::cpu_has_avx512()) levels.push_back(hemath::simd::SimdLevel::kAvx512);
+  for (std::size_t k = 1; k <= 9; ++k) {
+    std::vector<Plaintext> pts;
+    std::vector<const u64*> messages;
+    for (std::size_t j = 0; j < k; ++j) {
+      pts.push_back(f.ctx.encode_signed(random_values(p.n, -30000, 30000, rng)));
+    }
+    for (const Plaintext& pt : pts) messages.push_back(pt.poly.coeffs().data());
+    std::vector<Ciphertext> singles;
+    {
+      hemath::simd::ScopedSimdLevel scalar(hemath::simd::SimdLevel::kScalar);
+      for (std::size_t j = 0; j < k; ++j) {
+        hemath::Sampler stream(100 * k + j);
+        Encryptor enc(f.ctx, stream);
+        singles.push_back(enc.encrypt(pts[j], f.ppk));
+      }
+    }
+    for (hemath::simd::SimdLevel lvl : levels) {
+      hemath::simd::ScopedSimdLevel level(lvl);
+      std::vector<hemath::Sampler> streams;
+      for (std::size_t j = 0; j < k; ++j) streams.emplace_back(100 * k + j);
+      std::vector<Ciphertext> batch(k);
+      encrypt_batch(f.ctx, f.ppk, messages, streams, batch);
+      for (std::size_t j = 0; j < k; ++j) {
+        const char* name = hemath::simd::simd_level_name(lvl);
+        ASSERT_EQ(batch[j].c0, singles[j].c0) << "k=" << k << " j=" << j << " level=" << name;
+        ASSERT_EQ(batch[j].c1, singles[j].c1) << "k=" << k << " j=" << j << " level=" << name;
+        ASSERT_EQ(f.dec.decrypt(batch[j]).poly, pts[j].poly) << "k=" << k << " j=" << j;
+      }
+    }
+  }
 }
 
 /// round(t·c/q) mod t for the centered representative of c, halves away

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "bfv/context.hpp"
 #include "hemath/sampler.hpp"
 
 namespace flash::hemath {
@@ -24,23 +27,57 @@ TEST(Sampler, TernaryValuesOnly) {
     EXPECT_GT(c, 4096u / 5);
     EXPECT_LT(c, 4096u / 2);
   }
+
+  // Uniform by a chi-square test over 2^20 coefficients, drawn 4,096 at a
+  // time as encryption draws u: 13.82 is the 0.1% critical value at two
+  // degrees of freedom.
+  std::vector<u64> u(4096);
+  double big[3] = {0, 0, 0};
+  const std::size_t total = std::size_t{1} << 20;
+  for (std::size_t drawn = 0; drawn < total; drawn += u.size()) {
+    s.ternary_into(q, u);
+    for (u64 c : u) {
+      const i64 v = to_signed(c, q);
+      ASSERT_GE(v, -1);
+      ASSERT_LE(v, 1);
+      ++big[v + 1];
+    }
+  }
+  const double expected = static_cast<double>(total) / 3.0;
+  double chi2 = 0;
+  for (double c : big) chi2 += (c - expected) * (c - expected) / expected;
+  EXPECT_LT(chi2, 13.82) << big[0] << " " << big[1] << " " << big[2];
 }
 
-TEST(Sampler, GaussianSigma) {
-  Sampler s(103);
-  const u64 q = u64{1} << 40;
-  const double sigma = 3.2;
-  const Poly p = s.gaussian_poly(q, 1 << 14, sigma);
-  double var = 0;
-  i64 max_mag = 0;
-  for (std::size_t i = 0; i < p.degree(); ++i) {
-    const i64 v = to_signed(p[i], q);
-    var += static_cast<double>(v) * static_cast<double>(v);
-    max_mag = std::max(max_mag, v < 0 ? -v : v);
+TEST(Sampler, ErrorVarianceMatchesSigma) {
+  // The certifier's fresh-noise term sigma^2 (1 + 4n/3) takes the error
+  // variance to be sigma^2. Draw 2^22 errors exactly as encryption does
+  // (the context's sampler through a Sampler stream, one polynomial at a
+  // time) and require the variance within 4 standard errors of sigma^2. A
+  // rounded continuous Gaussian reads sigma^2 + 1/12 and fails at z > 10.
+  const bfv::BfvContext ctx(bfv::BfvParams::create(4096, 20, 49));
+  const auto& p = ctx.params();
+  Sampler s(2024);
+  std::vector<u64> e(p.n);
+  const std::size_t total = std::size_t{1} << 22;
+  double sum2 = 0, sum4 = 0;
+  for (std::size_t drawn = 0; drawn < total; drawn += p.n) {
+    ctx.error_sampler().sample_into(p.q, e, s.rng());
+    for (u64 c : e) {
+      const double x = static_cast<double>(to_signed(c, p.q));
+      const double x2 = x * x;
+      sum2 += x2;
+      sum4 += x2 * x2;
+    }
   }
-  var /= static_cast<double>(p.degree());
-  EXPECT_NEAR(std::sqrt(var), sigma, 0.3);
-  EXPECT_LT(max_mag, static_cast<i64>(8 * sigma));  // tail bound
+  const double n = static_cast<double>(total);
+  const double var = sum2 / n;  // about the known mean 0
+  const double se = std::sqrt((sum4 / n - var * var) / n);
+  const double sigma2 = p.error_sigma * p.error_sigma;
+  const double z = (var - sigma2) / se;
+  RecordProperty("variance_z", std::to_string(z));
+  EXPECT_LT(std::abs(z), 4.0) << "variance " << var << " vs sigma^2 " << sigma2 << " (z = " << z
+                              << ")";
 }
 
 TEST(Sampler, UniformCoversRange) {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "bfv/polymul_engine.hpp"
 #include "core/flash_accelerator.hpp"
@@ -24,6 +25,7 @@
 #include "hemath/pointwise.hpp"
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
+#include "hemath/sampler.hpp"
 #include "hemath/simd.hpp"
 
 namespace flash {
@@ -228,9 +230,9 @@ TEST(SimdKernels, PointwiseMulmodScalarVsAvx2Exact) {
 //
 // Every batched kernel must be bit-identical to a loop of the single-
 // polynomial path at every dispatch level. Batch sizes 1..9 cover the whole
-// remainder matrix (ARCHITECTURE.md §11): the scalar passthrough (1), the
-// AVX2 group and its padded remainders (2..4), and the AVX-512 group with
-// the drop-to-AVX2 and zero-padded remainders (5..9).
+// remainder matrix (ARCHITECTURE.md §11): the scalar passthrough (1, 2), the
+// AVX2 group and its padded remainder (3, 4), and the AVX-512 group with
+// the drop-to-AVX2, zero-padded and singles remainders (5..9).
 
 /// The levels this host can actually run (AVX-512 skips gracefully).
 std::vector<SimdLevel> supported_levels() {
@@ -296,6 +298,62 @@ TEST(SimdBatchKernels, NttBatchBitIdenticalToSinglesAcrossLevels) {
   for (std::size_t n : {64u, 256u, 4096u}) {
     const u64 q = hemath::find_ntt_prime(59, n);
     check_ntt_batch_matches_singles(hemath::NttTables(q, n), n, q);
+  }
+}
+
+TEST(SimdBatchKernels, CdtSamplerBitIdenticalAcrossLevels) {
+  // The vectorized count must equal the binary-search reference on every
+  // draw: words planted so the shifted draw sits at each table entry and
+  // one either side, with either sign bit (magnitude 0 with the sign bit set
+  // must map to 0, not q); 0 and 2^64 - 1; random draws; and every length
+  // 1..17 for the vector tails. Three tables: the served sigma, a narrow one
+  // and a long one.
+  const u64 q = hemath::find_ntt_prime(49, 4096);
+  std::mt19937_64 rng(24);
+  for (const auto& [sigma, tail] : {std::pair{3.2, 9.0}, {0.8, 6.0}, {19.0, 9.0}}) {
+    const hemath::CdtGaussianSampler cdt(sigma, tail);
+    std::vector<u64> words = {0, 1, ~u64{0}, ~u64{0} - 1};
+    for (u64 entry : cdt.table()) {
+      for (u64 shifted : {entry - 1, entry, entry + 1}) {
+        if (shifted >= (u64{1} << 63)) continue;  // no draw shifts that high
+        words.push_back(shifted << 1);
+        words.push_back((shifted << 1) | 1);
+      }
+    }
+    for (int i = 0; i < 300; ++i) words.push_back(rng());
+    std::vector<u64> want(words.size());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      want[i] = hemath::from_signed(cdt.sample(words[i]), q);
+    }
+    for (SimdLevel lvl : supported_levels()) {
+      ScopedSimdLevel level(lvl);
+      const char* name = hemath::simd::simd_level_name(lvl);
+      std::vector<u64> got = words;
+      cdt.map_words(q, got);
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "sigma=" << sigma << " word=" << words[i]
+                                   << " level=" << name;
+      }
+      for (std::size_t n = 1; n <= 17; ++n) {
+        for (std::size_t start = 0; start + n <= words.size(); start += 29) {
+          std::vector<u64> part(words.begin() + static_cast<std::ptrdiff_t>(start),
+                                words.begin() + static_cast<std::ptrdiff_t>(start + n));
+          cdt.map_words(q, part);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(part[i], want[start + i]) << "sigma=" << sigma << " n=" << n
+                                                << " start=" << start << " level=" << name;
+          }
+        }
+      }
+      // sample_into draws in coefficient order: a loop of sample(rng).
+      std::mt19937_64 a(7), b(7);
+      std::vector<u64> drawn(4096 + 5);
+      cdt.sample_into(q, drawn, a);
+      for (std::size_t i = 0; i < drawn.size(); ++i) {
+        ASSERT_EQ(drawn[i], hemath::from_signed(cdt.sample(b), q)) << "i=" << i
+                                                                   << " level=" << name;
+      }
+    }
   }
 }
 
