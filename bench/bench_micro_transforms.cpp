@@ -446,6 +446,21 @@ void BM_ErrorPoly(benchmark::State& state) {
 }
 BENCHMARK(BM_ErrorPoly)->Arg(4096);
 
+/// One mask draw: a Sampler seeded from a fresh derived stream, then
+/// uniform_into at t = 2^20 over n coefficients — what the served round
+/// spends per output before it subtracts the mask.
+void BM_UniformPoly(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<hemath::u64> mask(n);
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    hemath::Sampler sampler(hemath::derive_stream_seed(11, stream++));
+    sampler.uniform_into(hemath::u64{1} << 20, mask);
+    benchmark::DoNotOptimize(mask.data());
+  }
+}
+BENCHMARK(BM_UniformPoly)->Arg(4096);
+
 /// The client's encryption at N = 4096, 49-bit q: one lane group of
 /// state.range(1) ciphertexts through bfv::encrypt_batch (1 is
 /// Encryptor::encrypt's batch of one, 8 the AVX-512 group the served round
@@ -515,16 +530,18 @@ bool pow2_beats_barrett_at_equal_width() {
 }  // namespace
 
 // --batch restricts the run to the batched-transform benchmarks, the served
-// block MAC and finalize, the error sampler and batched encryption — the
-// record set the committed BENCH_batch_pr7.json, BENCH_live_pr21.json,
-// BENCH_mac_pr23.json and BENCH_encrypt_pr24.json baselines gate in CI.
-// Sugar for --benchmark_filter=Batch|SpectralMacBlock|Finalize|ErrorPoly
+// block MAC and finalize, the error sampler, the mask draw and batched
+// encryption — the record set the committed BENCH_batch_pr7.json,
+// BENCH_live_pr21.json, BENCH_mac_pr23.json, BENCH_encrypt_pr24.json and
+// BENCH_rng_pr25.json baselines gate in CI. Sugar for
+// --benchmark_filter=Batch|SpectralMacBlock|Finalize|ErrorPoly|UniformPoly
 // that survives baseline re-records verbatim.
 // --backend pow2 likewise restricts to the Z_{2^k} benchmarks (the
 // BENCH_pow2_pr10.json record set) and additionally runs the
 // pow2-beats-Barrett self-gate before the measured run.
 int main(int argc, char** argv) {
-  static char filter_arg[] = "--benchmark_filter=Batch|SpectralMacBlock|Finalize|ErrorPoly";
+  static char filter_arg[] =
+      "--benchmark_filter=Batch|SpectralMacBlock|Finalize|ErrorPoly|UniformPoly";
   static char pow2_filter_arg[] = "--benchmark_filter=Pow2";
   std::vector<char*> args;
   bool batch_only = false;

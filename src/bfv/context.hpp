@@ -58,13 +58,14 @@ class BfvContext {
   Ciphertext make_ciphertext() const { return {Poly(params_.q, params_.n), Poly(params_.q, params_.n)}; }
 
   /// Delta * m lifted into R_q: the message term of encryption and of ct ⊞/⊟
-  /// pt. Each coefficient's centered lift mod t is multiplied by Delta
-  /// through Delta's precomputed Shoup companion (no division; q < 2^63).
+  /// pt, one scaled_coeff per coefficient.
   Poly scaled_message(const Plaintext& pt) const;
   /// One coefficient of it: Delta times the centered lift of m in [0, t).
+  /// With Delta = floor(q/t) and |lift| <= t/2, Delta * |lift| <= q/2, so
+  /// no reduction is needed: the product itself, or q minus it for a
+  /// negative lift (a product that is never 0, since then m != 0).
   u64 scaled_coeff(u64 m) const {
-    const u64 lifted = hemath::from_signed(hemath::to_signed(m, params_.t), params_.q);
-    return hemath::shoup_mul(lifted, delta_, delta_shoup_, params_.q);
+    return m > params_.t / 2 ? params_.q - delta_ * (params_.t - m) : delta_ * m;
   }
 
   /// Encode a vector of signed cleartext values into plaintext coefficients
@@ -76,8 +77,7 @@ class BfvContext {
 
  private:
   BfvParams params_;
-  u64 delta_ = 0;        // params_.delta()
-  u64 delta_shoup_ = 0;  // its Shoup companion
+  u64 delta_ = 0;  // params_.delta()
   hemath::CdtGaussianSampler error_sampler_;
   // Shared process-wide (fft::transform_cache): contexts on the same (q, N)
   // reuse one set of immutable tables instead of recomputing them.

@@ -1,13 +1,27 @@
 #include "bfv/evaluator.hpp"
 
+#include <stdexcept>
+
 namespace flash::bfv {
 
-void Evaluator::add_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
-  ct.c0.add_inplace(ctx_.scaled_message(pt));
+void Evaluator::fold_plain(Ciphertext& ct, std::span<const u64> m, bool subtract) const {
+  const auto& p = ctx_.params();
+  if (m.size() != p.n || ct.c0.degree() != p.n) {
+    throw std::invalid_argument("Evaluator: plaintext row or ciphertext degree mismatch");
+  }
+  u64* c0 = ct.c0.coeffs().data();
+  for (std::size_t i = 0; i < p.n; ++i) {
+    const u64 dm = ctx_.scaled_coeff(m[i]);
+    c0[i] = subtract ? hemath::sub_mod(c0[i], dm, p.q) : hemath::add_mod(c0[i], dm, p.q);
+  }
 }
 
-void Evaluator::sub_plain_inplace(Ciphertext& ct, const Plaintext& pt) const {
-  ct.c0.sub_inplace(ctx_.scaled_message(pt));
+void Evaluator::add_plain_inplace(Ciphertext& ct, std::span<const u64> m) const {
+  fold_plain(ct, m, false);
+}
+
+void Evaluator::sub_plain_inplace(Ciphertext& ct, std::span<const u64> m) const {
+  fold_plain(ct, m, true);
 }
 
 Ciphertext Evaluator::multiply_plain(const Ciphertext& ct, const PlainSpectrum& w) const {

@@ -16,10 +16,11 @@ class Evaluator {
   const PolyMulEngine& engine() const { return engine_; }
   PolyMulEngine& engine() { return engine_; }
 
-  /// ct ⊞ pt: c0 += Delta * m.
-  void add_plain_inplace(Ciphertext& ct, const Plaintext& pt) const;
-  /// ct ⊟ pt.
-  void sub_plain_inplace(Ciphertext& ct, const Plaintext& pt) const;
+  /// ct ⊞ pt: c0 += Delta * m, for the message row m (n coefficients in
+  /// [0, t)), in one pass over c0 with no temporary.
+  void add_plain_inplace(Ciphertext& ct, std::span<const u64> m) const;
+  /// ct ⊟ pt: c0 -= Delta * m.
+  void sub_plain_inplace(Ciphertext& ct, std::span<const u64> m) const;
 
   /// ct ⊠ pt: the one-shot form of the spectral pipeline below
   /// (transform_ciphertext -> multiply_accumulate -> finalize). The
@@ -59,6 +60,9 @@ class Evaluator {
   Ciphertext finalize(const SpectralSums& sums, std::size_t b) const;
 
  private:
+  /// c0 += Delta * m, or c0 -= Delta * m when `subtract`.
+  void fold_plain(Ciphertext& ct, std::span<const u64> m, bool subtract) const;
+
   const BfvContext& ctx_;
   mutable PolyMulEngine engine_;
 };

@@ -1,5 +1,7 @@
 #include "hemath/sampler.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,13 +10,56 @@
 namespace flash::hemath {
 
 u64 Sampler::uniform_mod(u64 q) {
-  std::uniform_int_distribution<u64> dist(0, q - 1);
-  return dist(rng_);
+  u128 product = static_cast<u128>(rng_()) * q;
+  if (static_cast<u64>(product) < q) {
+    const u64 threshold = (u64{0} - q) % q;  // 2^64 mod q
+    while (static_cast<u64>(product) < threshold) product = static_cast<u128>(rng_()) * q;
+  }
+  return static_cast<u64>(product >> 64);
+}
+
+void Sampler::uniform_into(u64 q, std::span<u64> out) {
+  if (q == 0) throw std::invalid_argument("Sampler::uniform_into: q must be at least 1");
+  rng_.fill(out);
+  if (std::has_single_bit(q)) {
+    if (q == 1) {
+      std::fill(out.begin(), out.end(), u64{0});
+      return;
+    }
+    // Blocks of a fixed width, which gcc vectorizes at -O2: the plain loop
+    // compiles to a memory shift by %cl, about 2 ns a word.
+    const int shift = 64 - std::countr_zero(q);
+    u64* w = out.data();
+    std::size_t i = 0;
+    for (; i + 8 <= out.size(); i += 8) {
+      for (std::size_t j = 0; j < 8; ++j) w[i + j] >>= shift;
+    }
+    for (; i < out.size(); ++i) w[i] >>= shift;
+    return;
+  }
+  // A word is accepted iff the low half of w * q is at least 2^64 mod q.
+  const u64 threshold = (u64{0} - q) % q;
+  std::size_t i = 0;
+  for (; i < out.size(); ++i) {
+    const u128 product = static_cast<u128>(out[i]) * q;
+    if (static_cast<u64>(product) < threshold) break;
+    out[i] = static_cast<u64>(product >> 64);
+  }
+  // out[i] was rejected. Every output consumes at least one word, so the
+  // read cursor stays ahead of the write cursor.
+  std::size_t next = i + 1;
+  for (; i < out.size(); ++i) {
+    u128 product;
+    do {
+      product = static_cast<u128>(next < out.size() ? out[next++] : rng_()) * q;
+    } while (static_cast<u64>(product) < threshold);
+    out[i] = static_cast<u64>(product >> 64);
+  }
 }
 
 Poly Sampler::uniform_poly(u64 q, std::size_t n) {
   Poly p(q, n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = uniform_mod(q);
+  uniform_into(q, p.coeffs());
   return p;
 }
 
@@ -92,12 +137,12 @@ void CdtGaussianSampler::map_words(u64 q, std::span<u64> words) const {
   for (u64& w : words) w = detail::cdt_map_word(cdt_.data(), live_, q, w);
 }
 
-void CdtGaussianSampler::sample_into(u64 q, std::span<u64> out, std::mt19937_64& rng) const {
-  for (u64& w : out) w = rng();
+void CdtGaussianSampler::sample_into(u64 q, std::span<u64> out, Mt19937_64& rng) const {
+  rng.fill(out);
   map_words(q, out);
 }
 
-Poly CdtGaussianSampler::sample_poly(u64 q, std::size_t n, std::mt19937_64& rng) const {
+Poly CdtGaussianSampler::sample_poly(u64 q, std::size_t n, Mt19937_64& rng) const {
   Poly p(q, n);
   sample_into(q, p.coeffs(), rng);
   return p;

@@ -1,11 +1,15 @@
 // Randomness for the HE layer: uniform ring elements, ternary secrets and
 // the discrete Gaussian error, all from a seedable PRNG so every test and
-// benchmark is reproducible. There is one error sampler, the CDT below:
-// BfvContext builds it from the parameters' sigma, and key generation and
-// encryption draw from it through the caller's Sampler stream.
+// benchmark is reproducible. Every draw comes from one generator,
+// Mt19937_64 (hemath/mt19937.hpp): std::mt19937_64's words, filled in SIMD
+// lanes. Bulk draws (uniform_into, the CDT sampler's sample_into) fill a
+// row of words and then map it in place. There is one error sampler, the
+// CDT below: BfvContext builds it from the parameters' sigma, and key
+// generation and encryption draw from it through the caller's Sampler
+// stream.
 //
-// Concurrency model: a Sampler (and any bare std::mt19937_64) is single-
-// thread state — sharing one across tasks is a data race AND destroys
+// Concurrency model: a Sampler (and any bare generator) is single-thread
+// state — sharing one across tasks is a data race AND destroys
 // reproducibility, because interleaving reorders the draws. Parallel code
 // must give every task its own stream via derive_stream_seed()/fork(): the
 // derived seed depends only on (base seed, stream index), so a fixed seed
@@ -14,9 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <span>
+#include <vector>
 
+#include "hemath/mt19937.hpp"
 #include "hemath/poly.hpp"
 
 namespace flash::hemath {
@@ -42,10 +47,20 @@ class Sampler {
   /// stream), unaffected by how many draws this sampler has made.
   Sampler fork(std::uint64_t stream) const { return Sampler(derive_stream_seed(seed_, stream)); }
 
-  /// Uniform element of Z_q.
+  /// Uniform element of Z_q, q >= 1: Lemire's nearly divisionless map of
+  /// one draw w, floor(w * q / 2^64), drawing again while the low half of
+  /// w * q falls below 2^64 mod q. This is what libstdc++'s
+  /// std::uniform_int_distribution<u64>(0, q - 1) computes.
   u64 uniform_mod(u64 q);
 
-  /// Uniform polynomial in R_q.
+  /// out.size() calls of uniform_mod(q), from one fill of the generator
+  /// mapped in place. A power-of-two q maps each word to its top log2 q
+  /// bits and never rejects. For other q, from the first rejected word on,
+  /// each output reads the remaining filled words in order, then fresh
+  /// draws.
+  void uniform_into(u64 q, std::span<u64> out);
+
+  /// Uniform polynomial in R_q (uniform_into).
   Poly uniform_poly(u64 q, std::size_t n);
 
   /// Ternary polynomial with coefficients in {-1, 0, 1} mod q (the BFV
@@ -58,11 +73,11 @@ class Sampler {
   /// draw are discarded.
   void ternary_into(u64 q, std::span<u64> out);
 
-  std::mt19937_64& rng() { return rng_; }
+  Mt19937_64& rng() { return rng_; }
 
  private:
   std::uint64_t seed_;
-  std::mt19937_64 rng_;
+  Mt19937_64 rng_;
 };
 
 /// Cumulative-distribution-table (CDT) discrete Gaussian sampler — the
@@ -75,10 +90,10 @@ class Sampler {
 /// noise certifier models.
 ///
 /// The object itself is immutable after construction and safe to share
-/// across threads; all mutable state lives in the std::mt19937_64 the
-/// caller passes in, which must be a per-thread / per-task stream (seed it
-/// with derive_stream_seed) — handing several threads one shared rng is a
-/// data race on the generator state.
+/// across threads; all mutable state lives in the generator the caller
+/// passes in, which must be a per-thread / per-task stream (seed it with
+/// derive_stream_seed) — handing several threads one shared rng is a data
+/// race on the generator state.
 class CdtGaussianSampler {
  public:
   explicit CdtGaussianSampler(double sigma, double tail_cut = 9.0);
@@ -91,7 +106,7 @@ class CdtGaussianSampler {
   const std::vector<u64>& table() const { return cdt_; }
 
   /// One sample from the centered discrete Gaussian: sample(rng()).
-  i64 sample(std::mt19937_64& rng) const { return sample(rng()); }
+  i64 sample(Mt19937_64& rng) const { return sample(rng()); }
   /// The sample one draw maps to, by binary search over the table: the
   /// scalar reference the vectorized mapping must equal.
   i64 sample(u64 word) const;
@@ -102,12 +117,12 @@ class CdtGaussianSampler {
   /// the reference.
   void map_words(u64 q, std::span<u64> words) const;
 
-  /// out.size() draws from rng in coefficient order, then map_words: equal
-  /// to a loop of sample(rng) lifted mod q.
-  void sample_into(u64 q, std::span<u64> out, std::mt19937_64& rng) const;
+  /// One fill of out.size() draws from rng, then map_words: equal to a
+  /// loop of sample(rng) lifted mod q.
+  void sample_into(u64 q, std::span<u64> out, Mt19937_64& rng) const;
 
   /// A polynomial of samples lifted mod q (sample_into).
-  Poly sample_poly(u64 q, std::size_t n, std::mt19937_64& rng) const;
+  Poly sample_poly(u64 q, std::size_t n, Mt19937_64& rng) const;
 
  private:
   double sigma_;

@@ -4,7 +4,9 @@
 // is the same 32-bit-limb schoolbook as the AVX2 TU. Conditional subtracts
 // use compare-to-mask + masked subtract instead of AVX2's blend-by-mask —
 // the arithmetic is exact either way, so outputs stay bit-identical to the
-// scalar SoA reference.
+// scalar SoA reference. Shifts and 32-bit multiplies take their full-mask
+// maskz forms: gcc 12's unmasked forms pass _mm512_undefined and warn
+// -Wmaybe-uninitialized about it.
 #include "hemath/simd_batch.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
@@ -15,7 +17,13 @@ namespace flash::hemath::simd_batch::detail {
 
 namespace {
 
+constexpr __mmask8 kAll = 0xFF;
+
 inline __m512i set1u64(u64 x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
+
+inline __m512i srli32(__m512i x) { return _mm512_maskz_srli_epi64(kAll, x, 32); }
+
+inline __m512i mul32(__m512i a, __m512i b) { return _mm512_maskz_mul_epu32(kAll, a, b); }
 
 // Conditional subtract: lanes with x >= m become x - m.
 inline __m512i csub(__m512i x, __m512i m) {
@@ -25,18 +33,16 @@ inline __m512i csub(__m512i x, __m512i m) {
 // High 64 bits of the full 128-bit product, schoolbook over 32-bit limbs.
 inline __m512i mulhi64(__m512i a, __m512i b) {
   const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i ahi = _mm512_srli_epi64(a, 32);
-  const __m512i bhi = _mm512_srli_epi64(b, 32);
-  const __m512i ll = _mm512_mul_epu32(a, b);
-  const __m512i lh = _mm512_mul_epu32(a, bhi);
-  const __m512i hl = _mm512_mul_epu32(ahi, b);
-  const __m512i hh = _mm512_mul_epu32(ahi, bhi);
-  const __m512i carry = _mm512_srli_epi64(
-      _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32), _mm512_and_si512(lh, lo32)),
-                       _mm512_and_si512(hl, lo32)),
-      32);
+  const __m512i ahi = srli32(a);
+  const __m512i bhi = srli32(b);
+  const __m512i ll = mul32(a, b);
+  const __m512i lh = mul32(a, bhi);
+  const __m512i hl = mul32(ahi, b);
+  const __m512i hh = mul32(ahi, bhi);
+  const __m512i carry = srli32(_mm512_add_epi64(
+      _mm512_add_epi64(srli32(ll), _mm512_and_si512(lh, lo32)), _mm512_and_si512(hl, lo32)));
   return _mm512_add_epi64(_mm512_add_epi64(hh, carry),
-                          _mm512_add_epi64(_mm512_srli_epi64(lh, 32), _mm512_srli_epi64(hl, 32)));
+                          _mm512_add_epi64(srli32(lh), srli32(hl)));
 }
 
 // x*w mod q with Shoup companion ws; lanes land in [0, 2q).

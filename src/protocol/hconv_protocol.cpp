@@ -160,18 +160,14 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   result.out_h = geo.out_h();
   result.out_w = geo.out_w();
 
-  // --- Sharing: both parties obtain additive shares of the activation.
+  // --- Sharing: both parties obtain additive shares of the activation,
+  // drawn straight into the tensors the encoder reads.
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t run_seed = hemath::derive_stream_seed(seed_ ^ 0x9e3779b97f4a7c15ULL, stream);
-  // flash-lint: allow(raw-rng): substream() derives the seed via derive_stream_seed
-  std::mt19937_64 share_rng(substream(run_seed, kStreamShare, 0));
-  const SharedVector xs = share_tensor(x, p.t, share_rng);
+  hemath::Sampler share_sampler(substream(run_seed, kStreamShare, 0));
   tensor::Tensor3 x_client(x.channels(), x.height(), x.width());
   tensor::Tensor3 x_server(x.channels(), x.height(), x.width());
-  for (std::size_t i = 0; i < xs.client.size(); ++i) {
-    x_client.data()[i] = static_cast<i64>(xs.client[i]);
-    x_server.data()[i] = static_cast<i64>(xs.server[i]);
-  }
+  share_into(x.data(), p.t, share_sampler, x_client.data(), x_server.data());
   result.profile.share_encode_s += seconds_since(t0);
 
   // One ciphertext per channel tile; every output channel's product sits at
@@ -230,11 +226,13 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
   result.profile.bytes_client_to_server += polys * ciphertext_bytes(p);
   result.profile.encrypt_s += seconds_since(t0);
 
-  // --- Server: fold in its own share (ct ⊞ {x}^S).
+  // --- Server: fold in its own share (ct ⊞ {x}^S), each polynomial encoded
+  // into a row of the task's scratch arena and added in place.
   t0 = std::chrono::steady_clock::now();
   core::for_range(pool_, polys, [&](std::size_t i) {
-    bfv::Plaintext share = ctx_.make_plaintext();
-    server_poly(i, share.poly.coeffs());
+    core::ScratchFrame frame(core::thread_scratch());
+    const std::span<u64> share = frame.alloc<u64>(p.n);
+    server_poly(i, share);
     evaluator_.add_plain_inplace(cts[i], share);
   });
   result.profile.share_encode_s += seconds_since(t0);
@@ -269,18 +267,20 @@ void HConvProtocol::run_round(std::size_t polys, const EncodeFn& client_poly,
   result.profile.cipher_transform_mul_s += seconds_since(t0);
 
   // --- Server: mask (⊟ s) and "send" back; keep its own share. One derived
-  // mask stream per output (scheduling-independent mask values).
+  // mask stream per output (scheduling-independent mask values), drawn into
+  // a row of the task's scratch arena and subtracted in place.
   t0 = std::chrono::steady_clock::now();
   result.server_share.resize(outputs);
   core::for_range(pool_, outputs, [&](std::size_t m) {
+    core::ScratchFrame frame(core::thread_scratch());
+    const std::span<u64> mask = frame.alloc<u64>(p.n);
     hemath::Sampler mask_sampler(substream(run_seed, kStreamMask, m));
-    bfv::Plaintext mask = ctx_.make_plaintext();
-    mask.poly = mask_sampler.uniform_poly(p.t, p.n);
+    mask_sampler.uniform_into(p.t, mask);
     evaluator_.sub_plain_inplace(acc[m], mask);
     const std::span<const std::size_t> pos = positions(m);
     auto& share = result.server_share[m];
     share.reserve(pos.size());
-    for (std::size_t i : pos) share.push_back(mask.poly[i]);
+    for (std::size_t i : pos) share.push_back(mask[i]);
   });
   result.profile.bytes_server_to_client += outputs * ciphertext_bytes(p);
   result.profile.mask_s += seconds_since(t0);
@@ -334,11 +334,9 @@ HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
   const std::uint64_t run_seed =
       hemath::derive_stream_seed(seed_ ^ 0xd1b54a32d192ed03ULL,
                                  next_stream_.fetch_add(1, std::memory_order_relaxed));
-  // flash-lint: allow(raw-rng): substream() derives the seed via derive_stream_seed
-  std::mt19937_64 share_rng(substream(run_seed, kStreamShare, 0));
-  const SharedVector xs = share(x, p.t, share_rng);
-  const std::vector<i64> x_client(xs.client.begin(), xs.client.end());
-  const std::vector<i64> x_server(xs.server.begin(), xs.server.end());
+  hemath::Sampler share_sampler(substream(run_seed, kStreamShare, 0));
+  std::vector<i64> x_client(x.size()), x_server(x.size());
+  share_into(x, p.t, share_sampler, x_client, x_server);
   round.profile.share_encode_s += seconds_since(t0);
 
   // The vector fits one polynomial by MatVecEncoder's constructor contract.

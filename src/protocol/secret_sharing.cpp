@@ -4,17 +4,18 @@
 
 namespace flash::protocol {
 
-SharedVector share(const std::vector<i64>& values, u64 t, std::mt19937_64& rng) {
-  SharedVector out;
-  out.client.resize(values.size());
-  out.server.resize(values.size());
-  std::uniform_int_distribution<u64> dist(0, t - 1);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const u64 x = hemath::from_signed(values[i], t);
-    out.client[i] = dist(rng);
-    out.server[i] = hemath::sub_mod(x, out.client[i], t);
+void share_into(std::span<const i64> values, u64 t, hemath::Sampler& sampler,
+                std::span<i64> client, std::span<i64> server) {
+  if (client.size() != values.size() || server.size() != values.size()) {
+    throw std::invalid_argument("share_into: share buffers differ from the values in size");
   }
-  return out;
+  // The shares lie in [0, t), so the client's draws go straight into its
+  // i64 storage, read as the corresponding unsigned type.
+  const std::span<u64> drawn(reinterpret_cast<u64*>(client.data()), client.size());
+  sampler.uniform_into(t, drawn);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    server[i] = static_cast<i64>(hemath::sub_mod(hemath::from_signed(values[i], t), drawn[i], t));
+  }
 }
 
 std::vector<i64> reconstruct(const std::vector<u64>& a, const std::vector<u64>& b, u64 t) {
@@ -24,10 +25,6 @@ std::vector<i64> reconstruct(const std::vector<u64>& a, const std::vector<u64>& 
     out[i] = hemath::to_signed(hemath::add_mod(a[i], b[i], t), t);
   }
   return out;
-}
-
-SharedVector share_tensor(const tensor::Tensor3& x, u64 t, std::mt19937_64& rng) {
-  return share(x.data(), t, rng);
 }
 
 }  // namespace flash::protocol

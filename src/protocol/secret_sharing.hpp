@@ -5,29 +5,26 @@
 // sharing modulus, so shares embed directly into plaintext polynomials.
 #pragma once
 
-#include <random>
+#include <span>
 #include <vector>
 
 #include "hemath/modular.hpp"
-#include "tensor/tensor.hpp"
+#include "hemath/sampler.hpp"
 
 namespace flash::protocol {
 
 using hemath::i64;
 using hemath::u64;
 
-struct SharedVector {
-  std::vector<u64> client;  // uniform mod t
-  std::vector<u64> server;  // x - client mod t
-};
-
-/// Split signed values into additive shares mod t.
-SharedVector share(const std::vector<i64>& values, u64 t, std::mt19937_64& rng);
+/// Split signed values into additive shares mod t, written straight into
+/// `client` and `server` (each values.size() long; every share lies in
+/// [0, t)). The client shares are one sampler.uniform_into(t) and each
+/// server share is x - client mod t, so the draws are the same whatever
+/// buffers the caller hands in.
+void share_into(std::span<const i64> values, u64 t, hemath::Sampler& sampler,
+                std::span<i64> client, std::span<i64> server);
 
 /// Recombine shares into centered signed values.
 std::vector<i64> reconstruct(const std::vector<u64>& a, const std::vector<u64>& b, u64 t);
-
-/// Share a tensor channel-wise (flattened row-major).
-SharedVector share_tensor(const tensor::Tensor3& x, u64 t, std::mt19937_64& rng);
 
 }  // namespace flash::protocol

@@ -2,7 +2,10 @@
 // seed outside hemath/sampler and testing/generators. Failure logs cannot
 // replay this stream and parallel callers share it. Run with
 // `flash_lint --expect raw-rng <this tree>`.
+#include <cstdint>
 #include <random>
+
+#include "hemath/mt19937.hpp"
 
 namespace flash::fixture {
 
@@ -14,6 +17,11 @@ double bad_noise() {
 
 double bad_temporary() {
   return static_cast<double>(std::mt19937_64(99)());
+}
+
+std::uint64_t bad_vectorized_generator() {
+  hemath::Mt19937_64 gen(4242);
+  return gen();
 }
 
 }  // namespace flash::fixture

@@ -27,4 +27,13 @@ void bad_no_index(core::ThreadPool& pool, std::size_t tiles, std::uint64_t run_s
   });
 }
 
+void bad_generator_fixed_seed(core::ThreadPool* pool, std::size_t tiles) {
+  core::for_range(pool, tiles, [&](std::size_t tile) {
+    // flash-lint: allow(raw-rng): the raw seed is audited; the stream is not per tile
+    hemath::Mt19937_64 gen(hemath::substream(7, 0, 0));  // same words in every worker
+    (void)tile;
+    (void)gen;
+  });
+}
+
 }  // namespace flash::fixture

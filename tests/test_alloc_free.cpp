@@ -23,6 +23,7 @@
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/sampler.hpp"
+#include "protocol/secret_sharing.hpp"
 #include "sparsefft/executor.hpp"
 
 namespace {
@@ -336,6 +337,40 @@ TEST(AllocFree, EncryptBatchAllocatesOnlyTheOutputPolys) {
   const std::uint64_t reused = allocs();
   bfv::encrypt_batch(ctx, pk, messages, samplers, out);
   EXPECT_EQ(allocs() - reused, 0u);
+}
+
+TEST(AllocFree, ShareFoldAndMaskAllocateNothing) {
+  // The served round's draws and plaintext folds: the client share is drawn
+  // into buffers the caller owns, the server's share row and each mask row
+  // come from the scratch arena, the mask's Sampler lives on the stack, and
+  // Delta * m is added or subtracted in place. After a warm-up, none of it
+  // allocates: no Plaintext, no Poly.
+  const auto params = bfv::BfvParams::create(1024, 16, 40);
+  const bfv::BfvContext ctx(params);
+  hemath::Sampler sampler(2501);
+  bfv::KeyGenerator keygen(ctx, sampler);
+  const bfv::PreparedPublicKey pk =
+      bfv::prepare_public_key(ctx, keygen.public_key(keygen.secret_key()));
+  bfv::Encryptor enc(ctx, sampler);
+  bfv::Ciphertext ct = enc.encrypt(ctx.encode_signed(std::vector<hemath::i64>(params.n, 3)), pk);
+  const bfv::Evaluator ev(ctx, bfv::PolyMulBackend::kNtt);
+  const std::vector<hemath::i64> x(params.n, -2);
+  std::vector<hemath::i64> client(params.n), server(params.n);
+  const auto round = [&] {
+    hemath::Sampler share_sampler(hemath::derive_stream_seed(25, 0));
+    protocol::share_into(x, params.t, share_sampler, client, server);
+    core::ScratchFrame frame(core::thread_scratch());
+    const std::span<u64> row = frame.alloc<u64>(params.n);
+    for (std::size_t i = 0; i < params.n; ++i) row[i] = static_cast<u64>(server[i]);
+    ev.add_plain_inplace(ct, row);
+    hemath::Sampler mask_sampler(hemath::derive_stream_seed(25, 2));
+    mask_sampler.uniform_into(params.t, row);
+    ev.sub_plain_inplace(ct, row);
+  };
+  round();  // warm-up sizes the arena
+  const std::uint64_t before = allocs();
+  round();
+  EXPECT_EQ(allocs() - before, 0u);
 }
 
 TEST(AllocFree, SparseExecuteInto) {

@@ -225,6 +225,33 @@ TEST(Bfv, FreshNoiseBudgetPositiveAndPredicted) {
   EXPECT_LT(budget, f.ctx.params().noise_ceiling_bits());
 }
 
+TEST(Bfv, ScaledCoeffEqualsDeltaTimesCenteredLift) {
+  // scaled_coeff skips the modular multiply because Delta * |lift| <= q/2.
+  // Against Delta * lift mod q in 128 bits: every m at small (t, q), power
+  // of two and odd t; the edges around t/2 at the served parameters and at
+  // a power-of-two q.
+  const auto reference = [](const BfvParams& p, u64 m) {
+    return hemath::mul_mod(hemath::from_signed(hemath::to_signed(m, p.t), p.q), p.delta(), p.q);
+  };
+  for (const BfvParams& p : {BfvParams::create(8, 4, 7), BfvParams::create(8, 8, 12),
+                             rounding_params(8, 7, hemath::find_ntt_prime(7, 8)),
+                             rounding_params(8, 9, hemath::find_ntt_prime(12, 8))}) {
+    const BfvContext ctx(p);
+    for (u64 m = 0; m < p.t; ++m) {
+      ASSERT_EQ(ctx.scaled_coeff(m), reference(p, m)) << "m=" << m << " t=" << p.t
+                                                      << " q=" << p.q;
+    }
+  }
+  for (const BfvParams& p : {BfvParams::create(4096, 20, 49), BfvParams::create(2048, 17, 44),
+                             BfvParams::create_pow2(4096, 20, 49)}) {
+    const BfvContext ctx(p);
+    for (const u64 m : {u64{0}, p.t / 2 - 1, p.t / 2, p.t / 2 + 1, p.t - 1}) {
+      EXPECT_EQ(ctx.scaled_coeff(m), reference(p, m)) << "m=" << m << " t=" << p.t
+                                                      << " q=" << p.q;
+    }
+  }
+}
+
 TEST(Bfv, AddSubPlain) {
   Fixture f;
   Evaluator ev(f.ctx, PolyMulBackend::kNtt);
@@ -232,10 +259,10 @@ TEST(Bfv, AddSubPlain) {
   const auto va = random_values(f.ctx.params().n, -10000, 10000, rng);
   const auto vb = random_values(f.ctx.params().n, -10000, 10000, rng);
   Ciphertext ca = f.enc.encrypt(f.ctx.encode_signed(va), f.ppk);
-  ev.add_plain_inplace(ca, f.ctx.encode_signed(vb));
+  ev.add_plain_inplace(ca, f.ctx.encode_signed(vb).poly.coeffs());
   auto got = f.ctx.decode_signed(f.dec.decrypt(ca));
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], va[i] + vb[i]);
-  ev.sub_plain_inplace(ca, f.ctx.encode_signed(vb));
+  ev.sub_plain_inplace(ca, f.ctx.encode_signed(vb).poly.coeffs());
   EXPECT_EQ(f.ctx.decode_signed(f.dec.decrypt(ca)), va);
 }
 
@@ -376,6 +403,79 @@ TEST(Bfv, BackendMismatchThrows) {
 TEST(Bfv, ApproxBackendRequiresConfig) {
   Fixture f;
   EXPECT_THROW(Evaluator(f.ctx, PolyMulBackend::kApproxFft), std::invalid_argument);
+}
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::span<const u64> vals) {
+    for (const u64 v : vals) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+};
+
+// Key, ciphertext and uniform-draw bits pinned across commits, in the style
+// of ConvRunner.SharesMatchRecordedDigests. Every other encryption test
+// compares two paths of the same build, so a change to the generator, the
+// samplers or the key products passes them as long as both paths move
+// alike; these constants were recorded once and must not move. Each
+// component has its own digest, so a failure names what changed: keygen's
+// sk and pk, encrypt_batch groups of 1 and 8, and uniform_poly at q = t, at
+// a 49-bit prime and at q = 97 (where Lemire's map rejects).
+TEST(Bfv, KeysAndCiphertextsMatchRecordedDigests) {
+  struct Case {
+    std::size_t n;
+    int log_t, log_q;
+    std::uint64_t keys, encrypt1, encrypt8, uniform;
+  };
+  const Case cases[] = {
+      {4096, 20, 49, 0xf8d7f3bb5bba087eULL, 0x608b3aa0930a4d28ULL, 0x52d2f7ab8c58b28dULL,
+       0xc2f7822873f50127ULL},
+      {2048, 17, 44, 0x9c841e5e740247efULL, 0x144b811029885bbbULL, 0x1045e228d3efb701ULL,
+       0x9121116d4efe2919ULL},
+  };
+  const u64 q49 = hemath::find_ntt_prime(49, 4096);
+  for (const Case& c : cases) {
+    const BfvContext ctx(BfvParams::create(c.n, c.log_t, c.log_q));
+    const auto& p = ctx.params();
+    hemath::Sampler key_sampler(2501);
+    KeyGenerator keygen(ctx, key_sampler);
+    const SecretKey sk = keygen.secret_key();
+    const PublicKey pk = keygen.public_key(sk);
+    Fnv1a keys;
+    keys.add(sk.s.coeffs());
+    keys.add(pk.p0.coeffs());
+    keys.add(pk.p1.coeffs());
+    EXPECT_EQ(keys.h, c.keys) << "n=" << c.n;
+
+    const PreparedPublicKey ppk = prepare_public_key(ctx, pk);
+    std::vector<u64> rows(8 * p.n);
+    for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = (i * 7919 + 13) % p.t;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}}) {
+      std::vector<const u64*> messages;
+      std::vector<hemath::Sampler> samplers;
+      for (std::size_t j = 0; j < k; ++j) {
+        messages.push_back(rows.data() + j * p.n);
+        samplers.emplace_back(hemath::derive_stream_seed(2502 + k, j));
+      }
+      std::vector<Ciphertext> cts(k);
+      encrypt_batch(ctx, ppk, messages, samplers, cts);
+      Fnv1a f;
+      for (const Ciphertext& ct : cts) {
+        f.add(ct.c0.coeffs());
+        f.add(ct.c1.coeffs());
+      }
+      EXPECT_EQ(f.h, k == 1 ? c.encrypt1 : c.encrypt8) << "n=" << c.n << " group=" << k;
+    }
+
+    hemath::Sampler draws(2503);
+    Fnv1a uniform;
+    for (const u64 q : {p.t, q49, u64{97}}) uniform.add(draws.uniform_poly(q, p.n).coeffs());
+    EXPECT_EQ(uniform.h, c.uniform) << "n=" << c.n;
+  }
 }
 
 }  // namespace

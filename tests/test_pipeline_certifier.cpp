@@ -131,7 +131,7 @@ Replay replay_unit(const flash::bfv::BfvParams& params, flash::bfv::PolyMulBacke
     for (std::size_t i = 0; i < params.n; ++i) {
       ps.poly[i] = static_cast<u64>(sc[i]) % params.t;
     }
-    ev.add_plain_inplace(cts.back(), ps);
+    ev.add_plain_inplace(cts.back(), ps.poly.coeffs());
 
     x_polys[tile].resize(params.n);
     for (std::size_t i = 0; i < params.n; ++i) {

@@ -11,24 +11,50 @@
 namespace flash::protocol {
 namespace {
 
+std::vector<u64> as_u64(const std::vector<i64>& shares) {
+  return std::vector<u64>(shares.begin(), shares.end());
+}
+
 TEST(SecretSharing, ReconstructRoundTrip) {
+  // Power-of-two t maps each draw by a shift; the odd t = 65537 and t = 97
+  // reject draws and take share_into's scalar continuation.
   std::mt19937_64 rng(81);
-  const u64 t = u64{1} << 16;
   std::vector<i64> values;
   std::uniform_int_distribution<i64> dist(-30000, 30000);
   for (int i = 0; i < 500; ++i) values.push_back(dist(rng));
-  const SharedVector s = share(values, t, rng);
-  EXPECT_EQ(reconstruct(s.client, s.server, t), values);
+  for (const u64 t : {u64{1} << 16, u64{65537}}) {
+    hemath::Sampler sampler(81);
+    std::vector<i64> client(values.size()), server(values.size());
+    share_into(values, t, sampler, client, server);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_GE(client[i], 0);
+      ASSERT_LT(static_cast<u64>(client[i]), t);
+      ASSERT_GE(server[i], 0);
+      ASSERT_LT(static_cast<u64>(server[i]), t);
+    }
+    EXPECT_EQ(reconstruct(as_u64(client), as_u64(server), t), values) << "t=" << t;
+    // The client shares are exactly the sampler's uniform draws.
+    hemath::Sampler replay(81);
+    for (const i64 c : client) ASSERT_EQ(static_cast<u64>(c), replay.uniform_mod(t));
+  }
+  const std::vector<i64> small = {-48, -1, 0, 1, 48};
+  hemath::Sampler sampler(82);
+  std::vector<i64> client(small.size()), server(small.size());
+  share_into(small, 97, sampler, client, server);
+  EXPECT_EQ(reconstruct(as_u64(client), as_u64(server), 97), small);
+  EXPECT_THROW(share_into(small, 97, sampler, std::span<i64>(client).first(4), server),
+               std::invalid_argument);
 }
 
 TEST(SecretSharing, SharesLookUniform) {
-  std::mt19937_64 rng(82);
+  hemath::Sampler sampler(82);
   const u64 t = 1 << 8;
   const std::vector<i64> values(4096, 7);  // constant cleartext
-  const SharedVector s = share(values, t, rng);
+  std::vector<i64> client(values.size()), server(values.size());
+  share_into(values, t, sampler, client, server);
   // Client shares of a constant must still cover the whole range.
   std::vector<int> hist(t, 0);
-  for (u64 v : s.client) ++hist[v];
+  for (const i64 v : client) ++hist[static_cast<std::size_t>(v)];
   int nonzero_bins = 0;
   for (int h : hist) nonzero_bins += h > 0;
   EXPECT_GT(nonzero_bins, 200);

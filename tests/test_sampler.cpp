@@ -99,7 +99,7 @@ TEST(Sampler, DeterministicWithSeed) {
 TEST(CdtSampler, MeanVarianceAndTail) {
   const double sigma = 3.2;
   CdtGaussianSampler cdt(sigma);
-  std::mt19937_64 rng(7);
+  Mt19937_64 rng(7);
   const int samples = 1 << 16;
   double mean = 0, var = 0;
   i64 max_mag = 0;
@@ -127,7 +127,7 @@ TEST(CdtSampler, MeanVarianceAndTail) {
 
 TEST(CdtSampler, SymmetricDistribution) {
   CdtGaussianSampler cdt(2.0);
-  std::mt19937_64 rng(8);
+  Mt19937_64 rng(8);
   long long pos = 0, neg = 0;
   for (int i = 0; i < 40000; ++i) {
     const i64 v = cdt.sample(rng);
@@ -139,7 +139,7 @@ TEST(CdtSampler, SymmetricDistribution) {
 
 TEST(CdtSampler, PolySamplesWithinTail) {
   CdtGaussianSampler cdt(3.2, 6.0);
-  std::mt19937_64 rng(9);
+  Mt19937_64 rng(9);
   const u64 q = u64{1} << 40;
   const Poly p = cdt.sample_poly(q, 2048, rng);
   for (std::size_t i = 0; i < p.degree(); ++i) {

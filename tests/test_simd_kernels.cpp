@@ -346,7 +346,7 @@ TEST(SimdBatchKernels, CdtSamplerBitIdenticalAcrossLevels) {
         }
       }
       // sample_into draws in coefficient order: a loop of sample(rng).
-      std::mt19937_64 a(7), b(7);
+      hemath::Mt19937_64 a(7), b(7);
       std::vector<u64> drawn(4096 + 5);
       cdt.sample_into(q, drawn, a);
       for (std::size_t i = 0; i < drawn.size(); ++i) {
@@ -355,6 +355,90 @@ TEST(SimdBatchKernels, CdtSamplerBitIdenticalAcrossLevels) {
       }
     }
   }
+}
+
+TEST(SimdBatchKernels, Mt19937MatchesStdAtEveryLevel) {
+  // Mt19937_64 returns std::mt19937_64's words for the same seed at every
+  // SIMD level, through any interleaving of operator() and fill(). Fill
+  // lengths 0, 1, 7, 8, 155..157, 311..313 and 4096, each followed by one
+  // single draw, move the shared index across every twist boundary and
+  // through the 8-lane chunk that straddles index 156.
+  static_assert(std::uniform_random_bit_generator<hemath::Mt19937_64>);
+  std::mt19937_64 seeds(2501);
+  std::vector<u64> seed_list = {0, 1, 5489, ~u64{0}};
+  for (int i = 0; i < 4; ++i) seed_list.push_back(seeds());
+  const std::size_t lengths[] = {0, 1, 7, 8, 155, 156, 157, 311, 312, 313, 4096};
+  for (SimdLevel lvl : supported_levels()) {
+    ScopedSimdLevel level(lvl);
+    const char* name = hemath::simd::simd_level_name(lvl);
+    for (const u64 seed : seed_list) {
+      std::mt19937_64 want(seed);
+      hemath::Mt19937_64 got(seed);
+      for (int round = 0; round < 3; ++round) {
+        for (const std::size_t len : lengths) {
+          std::vector<u64> words(len);
+          got.fill(words);
+          for (std::size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(words[i], want()) << "seed=" << seed << " len=" << len << " i=" << i
+                                        << " level=" << name;
+          }
+          ASSERT_EQ(got(), want()) << "seed=" << seed << " after len=" << len
+                                   << " level=" << name;
+        }
+      }
+    }
+    // The standard's conformance value: the 10000th word of a
+    // default-constructed engine.
+    hemath::Mt19937_64 standard;
+    std::vector<u64> first(9999);
+    standard.fill(first);
+    EXPECT_EQ(standard(), 9981545732273789042ULL) << "level=" << name;
+  }
+}
+
+TEST(SimdBatchKernels, UniformIntoMatchesStdDistributionAtEveryLevel) {
+  // uniform_into and uniform_mod equal a loop of libstdc++'s
+  // uniform_int_distribution<u64>(0, q - 1) over the same words, and leave
+  // the stream where it leaves it. Power-of-two q never rejects; q = 97,
+  // 2^20 - 3 and the 49-bit prime rarely do; 2^63 + 1 rejects about half of
+  // all words, so the scalar continuation runs on nearly every fill.
+  const u64 q49 = hemath::find_ntt_prime(49, 4096);
+  const u64 qs[] = {1,         2,  3,           97, u64{1} << 20, (u64{1} << 20) - 3,
+                    q49, u64{1} << 63, (u64{1} << 63) + 1, ~u64{0}};
+  const std::size_t lengths[] = {0, 1, 7, 313, 4096};
+  for (SimdLevel lvl : supported_levels()) {
+    ScopedSimdLevel level(lvl);
+    const char* name = hemath::simd::simd_level_name(lvl);
+    for (const u64 q : qs) {
+      hemath::Sampler got(31);
+      std::mt19937_64 want(31);
+      std::uniform_int_distribution<u64> dist(0, q - 1);
+      for (int round = 0; round < 2; ++round) {
+        for (const std::size_t len : lengths) {
+          std::vector<u64> vals(len);
+          got.uniform_into(q, vals);
+          for (std::size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(vals[i], dist(want)) << "q=" << q << " len=" << len << " i=" << i
+                                           << " level=" << name;
+          }
+          ASSERT_EQ(got.uniform_mod(q), dist(want)) << "q=" << q << " level=" << name;
+        }
+      }
+      ASSERT_EQ(got.rng()(), want()) << "stream position, q=" << q << " level=" << name;
+    }
+    // The mask draw at t = 2^20 over 2^20 words.
+    hemath::Sampler got(32);
+    std::mt19937_64 want(32);
+    std::uniform_int_distribution<u64> dist(0, (u64{1} << 20) - 1);
+    std::vector<u64> vals(std::size_t{1} << 20);
+    got.uniform_into(u64{1} << 20, vals);
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      ASSERT_EQ(vals[i], dist(want)) << "i=" << i << " level=" << name;
+    }
+  }
+  hemath::Sampler sampler(33);
+  std::vector<u64> vals(4);
+  EXPECT_THROW(sampler.uniform_into(0, vals), std::invalid_argument);
 }
 
 TEST(SimdBatchKernels, NttBatchLargeModulusFallbackStillMatches) {

@@ -177,7 +177,7 @@ TEST(Sampler, CdtIsSafeToShareAcrossPerTaskStreams) {
   for (auto* out : {&first, &second}) {
     auto& v = *out;
     pool.parallel_for(0, v.size(), [&](std::size_t i) {
-      std::mt19937_64 rng(hemath::derive_stream_seed(99, i));
+      hemath::Mt19937_64 rng(hemath::derive_stream_seed(99, i));
       v[i] = cdt.sample(rng);
     });
   }

@@ -17,8 +17,9 @@
 //                   chain stays invisible until the widths line up, so the
 //                   masked form goes through Pow2Ring or carries an audited
 //                   allow(raw-mod) reason.
-//   raw-rng         std::mt19937_64 may only be constructed in
-//                   src/hemath/sampler.* and src/testing/generators.*.
+//   raw-rng         std::mt19937_64 and hemath::Mt19937_64 may only be
+//                   constructed in src/hemath/sampler.*, src/hemath/mt19937*
+//                   and src/testing/generators.*.
 //                   Everyone else derives a stream with derive_stream_seed()
 //                   (directly or via a documented wrapper) so that seeds
 //                   printed in failure logs replay deterministically and
@@ -45,7 +46,7 @@
 //                   global graph is a deadlock candidate and every edge on
 //                   the cycle is reported at its acquisition site.
 //   stream-derive   A parallel_for/for_range lambda body that constructs a
-//                   Sampler or mt19937 must derive its seed through
+//                   Sampler, mt19937 or Mt19937_64 must derive its seed through
 //                   derive_stream_seed()/substream()/fork() AND mix in a
 //                   lambda parameter (the loop index) — otherwise every
 //                   worker replays one stream, which is exactly the
@@ -251,12 +252,19 @@ bool in_src_outside_hemath(const std::string& rel) {
 bool rng_rule_applies(const std::string& rel) {
   if (!in_src(rel)) return false;
   if (starts_with(rel, "src/hemath/sampler")) return false;
+  if (starts_with(rel, "src/hemath/mt19937")) return false;
   if (starts_with(rel, "src/testing/generators")) return false;
   return true;
 }
 
 bool fxp_fft_path(const std::string& rel) {
   return starts_with(rel, "src/fft/") && rel.find("fxp") != std::string::npos;
+}
+
+/// The generator types the rng rules track: the standard engines and the
+/// vectorized hemath::Mt19937_64 that returns the same words.
+bool is_generator_type(const std::string& tok) {
+  return tok == "mt19937" || tok == "mt19937_64" || tok == "Mt19937_64";
 }
 
 bool outside_simd_dispatch(const std::string& rel) {
@@ -267,8 +275,9 @@ bool outside_simd_dispatch(const std::string& rel) {
 }
 
 bool stream_rule_applies(const std::string& rel) {
-  // Sampler's own definition and the seeded test-corpus generators are the
-  // two places that legitimately construct generators from raw seeds.
+  // Sampler's and the generator's own definitions and the seeded
+  // test-corpus generators are the places that legitimately construct
+  // generators from raw seeds.
   return rng_rule_applies(rel);
 }
 
@@ -329,7 +338,7 @@ void rule_raw_mod(const FileCtx& f) {
 void rule_raw_rng(const FileCtx& f) {
   const auto& t = f.toks;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text != "mt19937" && t[i].text != "mt19937_64") continue;
+    if (!is_generator_type(t[i].text)) continue;
     // `mt19937_64 name(...)` / `mt19937_64 name{...}` / temporary
     // `mt19937_64(...)`. References, template arguments and plain
     // declarations without an initializer don't construct a generator.
@@ -339,7 +348,7 @@ void rule_raw_rng(const FileCtx& f) {
     const bool temporary = a.text == "(" || a.text == "{";
     if (!named && !temporary) continue;
     f.report(t[i].line, "raw-rng",
-             "std::mt19937_64 constructed outside hemath/sampler and "
+             "generator constructed outside hemath/sampler, hemath/mt19937 and "
              "testing/generators; derive the seed with derive_stream_seed()");
   }
 }
@@ -628,7 +637,7 @@ std::vector<std::pair<std::string, std::string>> cyclic_edges(const LockGraph& g
 }
 
 // ---------------------------------------------------------------------------
-// stream-derive: Sampler/mt19937 built inside parallel bodies must derive a
+// stream-derive: Sampler/mt19937/Mt19937_64 built inside parallel bodies must derive a
 // per-index stream.
 
 const std::set<std::string>& derive_fn_names() {
@@ -700,7 +709,7 @@ void rule_stream_derive(const FileCtx& f) {
   const std::vector<ParallelBody> bodies = parallel_bodies(t);
   if (bodies.empty()) return;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text != "Sampler" && t[i].text != "mt19937" && t[i].text != "mt19937_64") continue;
+    if (t[i].text != "Sampler" && !is_generator_type(t[i].text)) continue;
     // Construction form (named or temporary), as in rule_raw_rng.
     std::size_t open;
     if (t[i + 1].kind == Token::Kind::kIdent && i + 2 < t.size() &&
