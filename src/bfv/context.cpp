@@ -18,7 +18,8 @@ BfvContext::BfvContext(BfvParams params)
     : params_(validated(params)),
       error_sampler_(params.error_sigma),
       fft_(fft::shared_negacyclic_fft(params.n)) {
-  delta_ = params_.delta();
+  const u64 delta = params_.delta();
+  scale_ = {delta, params_.q - delta * params_.t, params_.t / 2};
   // NttTables require a prime q = 1 mod 2N; a power-of-two q (kPow2 backend)
   // has no NTT, so the tables stay null and ntt() throws if reached.
   if (!params_.q_is_pow2()) ntt_ = fft::shared_ntt_tables(params_.q, params_.n);

@@ -57,16 +57,27 @@ class BfvContext {
   Plaintext make_plaintext() const { return {Poly(params_.t, params_.n)}; }
   Ciphertext make_ciphertext() const { return {Poly(params_.q, params_.n), Poly(params_.q, params_.n)}; }
 
+  /// Delta times the centered lift of a coefficient m in [0, t), as an
+  /// element of [0, q). With Delta = floor(q/t) and |lift| <= t/2,
+  /// Delta * |lift| <= q/2, so no reduction is needed. A negative lift
+  /// m - t gives q - Delta * (t - m) = Delta * m + q mod t, so the value is
+  /// Delta * m plus q mod t when m > t/2, selected by a mask, not a branch:
+  /// shares and masks are uniform in [0, t), so a branch on the sign would
+  /// mispredict on half the coefficients. Loops over a row copy it, so its
+  /// fields stay in registers while they store coefficients.
+  struct MessageScale {
+    u64 delta;    // floor(q / t)
+    u64 q_mod_t;  // q - delta * t
+    u64 half_t;   // t / 2
+    u64 operator()(u64 m) const {
+      return delta * m + (q_mod_t & (u64{0} - static_cast<u64>(m > half_t)));
+    }
+  };
+  const MessageScale& message_scale() const { return scale_; }
+  u64 scaled_coeff(u64 m) const { return scale_(m); }
   /// Delta * m lifted into R_q: the message term of encryption and of ct ⊞/⊟
   /// pt, one scaled_coeff per coefficient.
   Poly scaled_message(const Plaintext& pt) const;
-  /// One coefficient of it: Delta times the centered lift of m in [0, t).
-  /// With Delta = floor(q/t) and |lift| <= t/2, Delta * |lift| <= q/2, so
-  /// no reduction is needed: the product itself, or q minus it for a
-  /// negative lift (a product that is never 0, since then m != 0).
-  u64 scaled_coeff(u64 m) const {
-    return m > params_.t / 2 ? params_.q - delta_ * (params_.t - m) : delta_ * m;
-  }
 
   /// Encode a vector of signed cleartext values into plaintext coefficients
   /// (centered lift mod t). Values must fit in (-t/2, t/2].
@@ -77,7 +88,7 @@ class BfvContext {
 
  private:
   BfvParams params_;
-  u64 delta_ = 0;  // params_.delta()
+  MessageScale scale_{};
   hemath::CdtGaussianSampler error_sampler_;
   // Shared process-wide (fft::transform_cache): contexts on the same (q, N)
   // reuse one set of immutable tables instead of recomputing them.

@@ -106,15 +106,18 @@ void encrypt_batch(const BfvContext& ctx, const PreparedPublicKey& pk,
     prods[2 * j + 1] = out[j].c1.coeffs().data();
   }
   ntt.inverse_batch_into(prods, &frame.arena());
+  const BfvContext::MessageScale scale = ctx.message_scale();
+  const u64 q = p.q;
+  const std::size_t n = p.n;
   for (std::size_t j = 0; j < k; ++j) {
     u64* c0 = prods[2 * j];
     u64* c1 = prods[2 * j + 1];
-    const u64* e1 = e.data() + 2 * j * p.n;
-    const u64* e2 = e1 + p.n;
+    const u64* e1 = e.data() + 2 * j * n;
+    const u64* e2 = e1 + n;
     const u64* m = messages[j];
-    for (std::size_t i = 0; i < p.n; ++i) {
-      c0[i] = hemath::add_mod(hemath::add_mod(c0[i], e1[i], p.q), ctx.scaled_coeff(m[i]), p.q);
-      c1[i] = hemath::add_mod(c1[i], e2[i], p.q);
+    for (std::size_t i = 0; i < n; ++i) {
+      c0[i] = hemath::add_mod(hemath::add_mod(c0[i], e1[i], q), scale(m[i]), q);
+      c1[i] = hemath::add_mod(c1[i], e2[i], q);
     }
   }
 }

@@ -9,10 +9,13 @@ void Evaluator::fold_plain(Ciphertext& ct, std::span<const u64> m, bool subtract
   if (m.size() != p.n || ct.c0.degree() != p.n) {
     throw std::invalid_argument("Evaluator: plaintext row or ciphertext degree mismatch");
   }
+  const BfvContext::MessageScale scale = ctx_.message_scale();
+  const u64 q = p.q;
+  const std::size_t n = p.n;
   u64* c0 = ct.c0.coeffs().data();
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const u64 dm = ctx_.scaled_coeff(m[i]);
-    c0[i] = subtract ? hemath::sub_mod(c0[i], dm, p.q) : hemath::add_mod(c0[i], dm, p.q);
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 dm = scale(m[i]);
+    c0[i] = subtract ? hemath::sub_mod(c0[i], dm, q) : hemath::add_mod(c0[i], dm, q);
   }
 }
 

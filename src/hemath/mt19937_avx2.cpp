@@ -58,4 +58,13 @@ void mt_temper_avx2(const u64* in, u64* out, std::size_t n) {
 
 }  // namespace flash::hemath::detail
 
-#endif  // __AVX2__
+#else  // !__AVX2__ — non-x86 build: unreachable stubs (dispatch never selects AVX2).
+
+#include <cstdlib>
+
+namespace flash::hemath::detail {
+void mt_twist_avx2(u64*) { std::abort(); }
+void mt_temper_avx2(const u64*, u64*, std::size_t) { std::abort(); }
+}  // namespace flash::hemath::detail
+
+#endif

@@ -66,4 +66,13 @@ void mt_temper_avx512(const u64* in, u64* out, std::size_t n) {
 
 }  // namespace flash::hemath::detail
 
-#endif  // __AVX512F__
+#else  // No AVX-512 in this compiler/arch: unreachable stubs (dispatch never selects it).
+
+#include <cstdlib>
+
+namespace flash::hemath::detail {
+void mt_twist_avx512(u64*) { std::abort(); }
+void mt_temper_avx512(const u64*, u64*, std::size_t) { std::abort(); }
+}  // namespace flash::hemath::detail
+
+#endif

@@ -10,12 +10,9 @@
 namespace flash::hemath {
 
 u64 Sampler::uniform_mod(u64 q) {
-  u128 product = static_cast<u128>(rng_()) * q;
-  if (static_cast<u64>(product) < q) {
-    const u64 threshold = (u64{0} - q) % q;  // 2^64 mod q
-    while (static_cast<u64>(product) < threshold) product = static_cast<u128>(rng_()) * q;
-  }
-  return static_cast<u64>(product >> 64);
+  u64 v;
+  uniform_into(q, std::span<u64>(&v, 1));
+  return v;
 }
 
 void Sampler::uniform_into(u64 q, std::span<u64> out) {

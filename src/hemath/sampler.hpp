@@ -47,18 +47,18 @@ class Sampler {
   /// stream), unaffected by how many draws this sampler has made.
   Sampler fork(std::uint64_t stream) const { return Sampler(derive_stream_seed(seed_, stream)); }
 
-  /// Uniform element of Z_q, q >= 1: Lemire's nearly divisionless map of
-  /// one draw w, floor(w * q / 2^64), drawing again while the low half of
-  /// w * q falls below 2^64 mod q. This is what libstdc++'s
-  /// std::uniform_int_distribution<u64>(0, q - 1) computes.
-  u64 uniform_mod(u64 q);
-
-  /// out.size() calls of uniform_mod(q), from one fill of the generator
-  /// mapped in place. A power-of-two q maps each word to its top log2 q
-  /// bits and never rejects. For other q, from the first rejected word on,
-  /// each output reads the remaining filled words in order, then fresh
-  /// draws.
+  /// out.size() uniform elements of Z_q, q >= 1 (throws on q = 0), from
+  /// one fill of the generator mapped in place by Lemire's nearly
+  /// divisionless map: a draw w becomes floor(w * q / 2^64), drawing again
+  /// while the low half of w * q falls below 2^64 mod q. This is what
+  /// libstdc++'s std::uniform_int_distribution<u64>(0, q - 1) computes. A
+  /// power-of-two q maps each word to its top log2 q bits and never
+  /// rejects. For other q, from the first rejected word on, each output
+  /// reads the remaining filled words in order, then fresh draws.
   void uniform_into(u64 q, std::span<u64> out);
+
+  /// One element of uniform_into(q, ...).
+  u64 uniform_mod(u64 q);
 
   /// Uniform polynomial in R_q (uniform_into).
   Poly uniform_poly(u64 q, std::size_t n);

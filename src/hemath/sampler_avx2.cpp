@@ -51,4 +51,12 @@ void cdt_map_avx2(const u64* table, std::size_t len, u64 q, u64* words, std::siz
 
 }  // namespace flash::hemath::detail
 
-#endif  // __AVX2__
+#else  // !__AVX2__ — non-x86 build: unreachable stubs (dispatch never selects AVX2).
+
+#include <cstdlib>
+
+namespace flash::hemath::detail {
+void cdt_map_avx2(const u64*, std::size_t, u64, u64*, std::size_t) { std::abort(); }
+}  // namespace flash::hemath::detail
+
+#endif

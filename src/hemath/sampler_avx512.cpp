@@ -55,4 +55,12 @@ void cdt_map_avx512(const u64* table, std::size_t len, u64 q, u64* words, std::s
 
 }  // namespace flash::hemath::detail
 
-#endif  // __AVX512F__
+#else  // No AVX-512 in this compiler/arch: unreachable stubs (dispatch never selects it).
+
+#include <cstdlib>
+
+namespace flash::hemath::detail {
+void cdt_map_avx512(const u64*, std::size_t, u64, u64*, std::size_t) { std::abort(); }
+}  // namespace flash::hemath::detail
+
+#endif

@@ -226,7 +226,8 @@ TEST(Bfv, FreshNoiseBudgetPositiveAndPredicted) {
 }
 
 TEST(Bfv, ScaledCoeffEqualsDeltaTimesCenteredLift) {
-  // scaled_coeff skips the modular multiply because Delta * |lift| <= q/2.
+  // scaled_coeff skips the modular multiply because Delta * |lift| <= q/2,
+  // and adds q mod t under a mask for a negative lift.
   // Against Delta * lift mod q in 128 bits: every m at small (t, q), power
   // of two and odd t; the edges around t/2 at the served parameters and at
   // a power-of-two q.
